@@ -103,8 +103,11 @@ def _format_term(vdef: ValuationDef, term) -> str:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}")
     else:
         print(text)
 
@@ -125,8 +128,11 @@ def _load_poly(args) -> MPoly:
     if args.poly is not None:
         text = args.poly
     elif args.poly_file is not None:
-        with open(args.poly_file) as fh:
-            text = fh.read()
+        try:
+            with open(args.poly_file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read polynomial file: {exc}")
     else:
         raise UsageError("provide --poly TEXT or --poly-file FILE")
     return parse_poly(text)
@@ -404,8 +410,6 @@ def _add_common(sp, with_poly=False, with_weights=True):
     sp.add_argument("--max-states", type=int, default=None,
                     help="enumeration state cap (default from VALSEM_MAX_STATES)")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker count; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 from typing import Iterable, Union
 
 from .errors import ParseError, UsageError
@@ -28,15 +28,16 @@ class Dyadic:
     __slots__ = ("num", "k")
 
     def __init__(self, num: int, k: int = 0):
-        if k < 0:
+        if k > 0 and not num & 1:
+            if num:
+                tz = min(k, (num & -num).bit_length() - 1)
+                num >>= tz
+                k -= tz
+            else:
+                k = 0
+        elif k < 0:
             num <<= -k
             k = 0
-        if num == 0:
-            k = 0
-        else:
-            while k > 0 and num % 2 == 0:
-                num //= 2
-                k -= 1
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "k", k)
 
@@ -148,6 +149,17 @@ class Dyadic:
         return f"{self.num}/2^{self.k}"
 
 
+def _sign_surd(p: int, q: int) -> int:
+    """Sign of p + q*sqrt(2) for integers p, q: the one place that order
+    is decided.  Opposite signs compare p^2 with 2*q^2, which are never
+    equal for q != 0 since sqrt(2) is irrational."""
+    if not q:
+        return (p > 0) - (p < 0)
+    if not p or (p > 0) == (q > 0) or p * p < 2 * q * q:
+        return 1 if q > 0 else -1
+    return 1 if p > 0 else -1
+
+
 class QuadReal:
     """An exact real p + q*sqrt(2) with dyadic parts p, q.
 
@@ -210,22 +222,10 @@ class QuadReal:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        """Exact sign: mixed-sign cases compare rat^2 against 2*surd^2."""
-        sr, ss = self.rat.sign(), self.surd.sign()
-        if ss == 0:
-            return sr
-        if sr == 0:
-            return ss
-        if sr == ss:
-            return sr
-        # rat and surd have opposite signs; |rat| vs |surd|*sqrt(2)
-        lhs = self.rat.num * self.rat.num << (2 * self.surd.k)
-        rhs = 2 * self.surd.num * self.surd.num << (2 * self.rat.k)
-        if lhs == rhs:
-            # impossible for nonzero surd (sqrt(2) irrational), but the
-            # equality would mean the value is zero
-            return 0
-        return sr if lhs > rhs else ss
+        """Exact sign: _sign_surd on the parts over a common 2^k."""
+        r, s = self.rat, self.surd
+        k = max(r.k, s.k)
+        return _sign_surd(r.num << (k - r.k), s.num << (k - s.k))
 
     def _cmp(self, other) -> int:
         o = QuadReal._coerce(other)
@@ -262,17 +262,20 @@ class QuadReal:
         return bool(self.rat) or bool(self.surd)
 
     def floor(self) -> int:
-        if not self.surd:
-            return self.rat.floor()
-        # initial guess from a crude rational bound on sqrt(2), then fix
-        # up with exact comparisons
-        approx = self.rat.as_fraction() + self.surd.as_fraction() * Fraction(141422, 100000)
-        n = approx.numerator // approx.denominator
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        """Exact floor, at a cost independent of the size of the parts.
+
+        With the parts over a common 2^k, N = p + q*sqrt(2) lies strictly
+        between the integers p + m and p + m + 1 (q > 0) or p - m - 1 and
+        p - m (q < 0), where m = isqrt(2*q^2); so floor(N) is known and
+        floor(N / 2^k) = floor(floor(N) / 2^k).
+        """
+        r, s = self.rat, self.surd
+        if not s:
+            return r.floor()
+        k = max(r.k, s.k)
+        p, q = r.num << (k - r.k), s.num << (k - s.k)
+        m = isqrt(2 * q * q)
+        return (p + m if q > 0 else p - m - 1) >> k
 
     def ceil(self) -> int:
         n = self.floor()
@@ -353,12 +356,6 @@ DYADIC2 = GroupSpec(("dyadic", "dyadic"))
 QUAD2 = GroupSpec(("quad", "dyadic"))
 
 
-def _scalar_cmp(a, b) -> int:
-    if isinstance(a, QuadReal) or isinstance(b, QuadReal):
-        return quad_cmp(a, b)
-    return (a > b) - (a < b)
-
-
 class LexVec:
     """An element of a lex-ordered product group described by a GroupSpec."""
 
@@ -403,8 +400,9 @@ class LexVec:
 
     def cmp(self, other: "LexVec") -> int:
         self._check(other)
+        # both vectors share the spec, so each coordinate pair has one kind
         for a, b in zip(self.coords, other.coords):
-            c = _scalar_cmp(a, b)
+            c = (a > b) - (a < b) if isinstance(a, int) else a._cmp(b)
             if c:
                 return c
         return 0
@@ -552,15 +550,3 @@ def parse_lexvec(text: str, spec: GroupSpec) -> LexVec:
         spec,
         tuple(parse_scalar(p, kind) for p, kind in zip(parts, spec.kinds)),
     )
-
-
-def lcm2(*dyadics: Dyadic) -> int:
-    """Smallest k such that 2^k clears every denominator."""
-    return max((d.k for d in dyadics), default=0)
-
-
-def common_den(fracs: Iterable[Fraction]) -> int:
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return den

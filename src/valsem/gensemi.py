@@ -16,32 +16,23 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CapExceeded, UsageError
-from .exact import Dyadic, GroupSpec, LexVec, QuadReal, common_den
+from .exact import Dyadic, GroupSpec, LexVec, QuadReal, _sign_surd
 from .semigroups import theorem1_bound
 
 DEFAULT_STATE_CAP = 1_000_000
 
 
-def _fc_parts(x) -> Tuple[Fraction, Fraction]:
-    """First coordinate as (rational part, sqrt2 part) fractions."""
-    if isinstance(x, QuadReal):
-        return x.rat.as_fraction(), x.surd.as_fraction()
-    if isinstance(x, Dyadic):
-        return x.as_fraction(), Fraction(0)
-    return Fraction(x), Fraction(0)
-
-
-def _fc_is_zero(x) -> bool:
-    p, q = _fc_parts(x)
-    return p == 0 and q == 0
-
-
-def _sc_dyadic(x) -> Dyadic:
-    if isinstance(x, Dyadic):
-        return x
-    if isinstance(x, int):
-        return Dyadic(x)
-    raise UsageError("second coordinate must be dyadic")
+def _lattice(x) -> Optional[Tuple[int, int, int]]:
+    """A first coordinate as integers (p, q, k) with value
+    (p + q*sqrt2)/2^k, or None for a rational that is not dyadic."""
+    if isinstance(x, Fraction) and x.denominator & (x.denominator - 1):
+        return None
+    x = QuadReal._coerce(x)
+    if x is NotImplemented:
+        raise UsageError("first coordinate must be a dyadic or quadratic scalar")
+    r, s = x.rat, x.surd
+    k = max(r.k, s.k)
+    return r.num << (k - r.k), s.num << (k - s.k), k
 
 
 @dataclass(frozen=True)
@@ -68,105 +59,111 @@ class Box:
     def __post_init__(self):
         if self.y1 < 0 or self.y2 < 0:
             raise UsageError("box windows must be nonnegative")
-        if not _fc_is_zero(self.t1.coords[0]):
+        if self.t1.coords[0]:
             raise UsageError("t1 must lie in the level-1 convex subgroup")
+        if _lattice(self.t2) is None:
+            raise UsageError("t2 must be a dyadic or quadratic scalar")
 
 
 class GenSemigroup:
-    """Sub-semigroup of the nonnegative part of a rank-2 lex group."""
+    """Sub-semigroup of the nonnegative part of a rank-2 lex group.
+
+    The searches run on one integer encoding built here: a positive
+    generator is (p, q, s) with first coordinate (p + q*sqrt2)/2^fk and
+    second coordinate s/2^sk, a zero-first-coordinate generator is s.
+    """
 
     def __init__(self, spec: GroupSpec, generators: List[LexVec]):
         if spec.rank != 2:
             raise UsageError("GenSemigroup supports rank-2 groups")
+        if spec.kinds[1] == "quad":
+            raise UsageError("second coordinate must be dyadic")
         seen = []
         for g in generators:
             if g.spec != spec:
                 raise UsageError("generator does not conform to the group spec")
-            fc, sc = g.coords
-            p, q = _fc_parts(fc)
-            if p < 0 or q < 0:
-                raise UsageError(f"generator {g} has a negative first-coordinate part")
-            if _fc_is_zero(fc) and _sc_dyadic(sc).sign() <= 0:
-                raise UsageError(f"generator {g} with zero first coordinate must be positive")
             if g not in seen:
                 seen.append(g)
         seen.sort()
         self.spec = spec
         self.generators = seen
-        self.pos = [g for g in seen if not _fc_is_zero(g.coords[0])]
-        self.zeros = [g for g in seen if _fc_is_zero(g.coords[0])]
+        fcs = [_lattice(g.coords[0]) for g in seen]
+        scs = [Dyadic._coerce(g.coords[1]) for g in seen]
+        self._fk = max((k for _, _, k in fcs), default=0)
+        self._sk = max((sc.k for sc in scs), default=0)
+        self.pos, self.zeros = [], []
+        self._pos_at = []  # index in generators of each positive generator
+        self._pos_ints, self._zero_ints = [], []
+        for i, (g, (p, q, k), sc) in enumerate(zip(seen, fcs, scs)):
+            if p < 0 or q < 0:
+                raise UsageError(f"generator {g} has a negative first-coordinate part")
+            s = sc.num << (self._sk - sc.k)
+            if p or q:
+                self.pos.append(g)
+                self._pos_at.append(i)
+                self._pos_ints.append((p << (self._fk - k), q << (self._fk - k), s))
+            elif s <= 0:
+                raise UsageError(f"generator {g} with zero first coordinate must be positive")
+            else:
+                self.zeros.append(g)
+                self._zero_ints.append(s)
+
+    def _scaled_pos(self, k: int):
+        """Positive generators with first coordinates over 2^max(fk, k),
+        and that exponent."""
+        if k <= self._fk:
+            return self._pos_ints, self._fk
+        d = k - self._fk
+        return [(p << d, q << d, s) for p, q, s in self._pos_ints], k
+
+    def _decode(self, p: int, q: int, fk: int, s: int, sk: int) -> LexVec:
+        if self.spec.kinds[0] == "quad":
+            fc = QuadReal(Dyadic(p, fk), Dyadic(q, fk))
+        else:
+            fc = Dyadic(p, fk)
+        return self.spec.vec(fc, Dyadic(s, sk))
 
     # -- positive-first-coordinate combinations -------------------------
 
-    def _sc_shift(self) -> int:
-        """Power of two clearing every generator second coordinate."""
-        return max((_sc_dyadic(g.coords[1]).k for g in self.generators), default=0)
-
-    def _pos_combos(self, fc_hi_parts: Tuple[Fraction, Fraction], cap: int):
+    def _pos_combos(self, hp: int, hq: int, hk: int, cap: int):
         """All N-combinations of the positive-fc generators whose first
-        coordinate stays strictly under the given (rat, surd) bound in
-        both parts; yields (rat, surd, sc_scaled, expvec) with the second
-        coordinate scaled by 2^k for the returned k."""
-        den = common_den(
-            [p for g in self.pos for p in _fc_parts(g.coords[0])]
-            + [fc_hi_parts[0], fc_hi_parts[1]]
-        )
-        k = self._sc_shift()
-        gens = []
-        for g in self.pos:
-            p, q = _fc_parts(g.coords[0])
-            sc = _sc_dyadic(g.coords[1])
-            gens.append((int(p * den), int(q * den), sc.num << (k - sc.k)))
-        hi_p = fc_hi_parts[0] * den
-        hi_q = fc_hi_parts[1] * den
+        coordinate stays strictly under (hp + hq*sqrt2)/2^hk; returns
+        (fk, triples) with the triples (p, q, s) on the lattice over
+        2^fk."""
+        gens, fk = self._scaled_pos(hk)
+        hp <<= fk - hk
+        hq <<= fk - hk
         out = []
         states = 0
 
-        # integer parts are exact; compare p + q*sqrt2 < hi_p + hi_q*sqrt2
-        def below(p, q):
-            dp = hi_p - p
-            dq = hi_q - q
-            # sign of dp + dq*sqrt2
-            if dq == 0:
-                return dp > 0
-            if dp == 0:
-                return dq > 0
-            if dp > 0 and dq > 0:
-                return True
-            if dp < 0 and dq < 0:
-                return False
-            lhs = dp * dp
-            rhs = 2 * dq * dq
-            return (dp > 0) if lhs > rhs else (dq > 0)
-
-        def rec(idx, p, q, sc, exps):
+        def rec(idx, p, q, sc):
             nonlocal states
             states += 1
             if states > cap:
                 raise CapExceeded("semigroup enumeration state cap exceeded", cap)
             if idx == len(gens):
-                out.append((p, q, sc, tuple(exps)))
+                out.append((p, q, sc))
                 return
             gp, gq, gsc = gens[idx]
-            e = 0
-            while below(p + e * gp, q + e * gq):
-                exps.append(e)
-                rec(idx + 1, p + e * gp, q + e * gq, sc + e * gsc, exps)
-                exps.pop()
-                e += 1
+            while _sign_surd(hp - p, hq - q) > 0:
+                rec(idx + 1, p, q, sc)
+                p += gp
+                q += gq
+                sc += gsc
 
-        rec(0, 0, 0, 0, [])
-        return den, k, out
+        rec(0, 0, 0, 0)
+        return fk, out
 
     # -- zero-first-coordinate combinations -----------------------------
 
-    def _zero_sums(self, hi: Dyadic, cap: int) -> List[Dyadic]:
-        """All second-coordinate sums of zero-fc generator combinations
-        in [0, hi[, deduplicated and sorted."""
-        sums = {Dyadic(0)}
-        frontier = [Dyadic(0)]
+    def _zero_sums(self, hi: int, shift: int, cap: int) -> List[int]:
+        """All second-coordinate sums, over 2^(sk + shift), of
+        zero-fc generator combinations in [0, hi[, deduplicated and
+        sorted."""
+        sums = {0}
+        frontier = [0]
         states = 0
-        gvals = [_sc_dyadic(g.coords[1]) for g in self.zeros]
+        gvals = [s << shift for s in self._zero_ints]
         while frontier:
             cur = frontier.pop()
             for gv in gvals:
@@ -177,7 +174,7 @@ class GenSemigroup:
                 if nxt < hi and nxt not in sums:
                     sums.add(nxt)
                     frontier.append(nxt)
-        return sorted(sums, key=lambda d: d.as_fraction())
+        return sorted(sums)
 
     # -- tilde ----------------------------------------------------------
 
@@ -189,82 +186,71 @@ class GenSemigroup:
         their second coordinates are positive, so dropping them only
         lowers the objective.
         """
-        lp, lq = _fc_parts(lam)
-        if lp < 0 or lq < 0:
+        target = _lattice(lam)
+        if target is None:
             return None
-        if lp == 0 and lq == 0:
-            zero = self.spec.zero()
-            return TildeEntry(lam, zero, (0,) * len(self.generators))
-        den = common_den([p for g in self.pos for p in _fc_parts(g.coords[0])] + [lp, lq])
-        gens = []
-        for g in self.pos:
-            p, q = _fc_parts(g.coords[0])
-            gens.append((int(p * den), int(q * den), _sc_dyadic(g.coords[1])))
-        target = (int(lp * den), int(lq * den))
-        best: List[Optional[Tuple[Dyadic, Tuple[int, ...]]]] = [None]
+        tp, tq, tk = target
+        if tp < 0 or tq < 0:
+            return None
+        if not (tp or tq):
+            return TildeEntry(lam, self.spec.zero(), (0,) * len(self.generators))
+        gens, fk = self._scaled_pos(tk)
+        tp <<= fk - tk
+        tq <<= fk - tk
+        n = len(gens)
+        best: Optional[Tuple[int, Tuple[int, ...]]] = None
         states = 0
 
         def rec(idx, rem_p, rem_q, sc, exps):
-            nonlocal states
+            nonlocal states, best
             states += 1
             if states > cap:
                 raise CapExceeded("tilde knapsack state cap exceeded", cap)
             if rem_p == 0 and rem_q == 0:
-                full = tuple(exps) + (0,) * (len(gens) - len(exps))
-                if best[0] is None or sc < best[0][0]:
-                    best[0] = (sc, full)
+                if best is None or sc < best[0]:
+                    best = (sc, tuple(exps) + (0,) * (n - len(exps)))
                 return
-            if idx == len(gens):
+            if idx == n:
                 return
             gp, gq, gsc = gens[idx]
-            e_max = rem_p // gp if gp else None
-            if gq:
-                eq = rem_q // gq
-                e_max = eq if e_max is None else min(e_max, eq)
-            if e_max is None:
-                e_max = 0
+            if gp:
+                e_max = rem_p // gp
+                if gq:
+                    e_max = min(e_max, rem_q // gq)
+            else:
+                e_max = rem_q // gq
             for e in range(e_max, -1, -1):
                 exps.append(e)
                 rec(idx + 1, rem_p - e * gp, rem_q - e * gq, sc + e * gsc, exps)
                 exps.pop()
 
-        rec(0, target[0], target[1], Dyadic(0), [])
-        if best[0] is None:
+        rec(0, tp, tq, 0, [])
+        if best is None:
             return None
-        sc, pos_exps = best[0]
-        witness = []
-        it = iter(pos_exps)
-        for g in self.generators:
-            witness.append(0 if g in self.zeros else next(it))
-        first = lam
-        return TildeEntry(lam, self.spec.vec(first, sc), tuple(witness))
+        sc, pos_exps = best
+        witness = [0] * len(self.generators)
+        for i, e in zip(self._pos_at, pos_exps):
+            witness[i] = e
+        return TildeEntry(lam, self._decode(tp, tq, fk, sc, self._sk), tuple(witness))
 
     # -- enumeration ----------------------------------------------------
 
     def _box_elements(self, box: Box, cap: int):
         """Distinct in-box elements as integer triples (p, q, s) with
-        first coordinate (p + q*sqrt2)/den and second coordinate s/2^k;
-        returns (den, k, triples)."""
-        t2p, t2q = _fc_parts(box.t2)
-        fc_hi = (t2p * box.y2, t2q * box.y2)
-        t1sc = _sc_dyadic(box.t1.coords[1])
+        first coordinate (p + q*sqrt2)/2^fk and second coordinate s/2^sk;
+        returns (fk, sk, triples)."""
         if box.y1 == 0 or box.y2 == 0:
-            return 1, 0, set()
-        den, k, combos = self._pos_combos(fc_hi, cap)
-        width_d = box.y1 * t1sc
-        width = width_d.num << (k - width_d.k) if width_d.k <= k else None
-        if width is None:
-            k2 = width_d.k
-            width = width_d.num
-        else:
-            k2 = k
-        shift = k2 - k
+            return 0, 0, set()
+        tp, tq, tk = _lattice(box.t2)
+        fk, combos = self._pos_combos(box.y2 * tp, box.y2 * tq, tk, cap)
+        t1 = Dyadic._coerce(box.t1.coords[1])
+        sk = max(self._sk, t1.k)
+        shift = sk - self._sk
+        width = box.y1 * t1.num << (sk - t1.k)
         by_lam: Dict[Tuple[int, int], List[int]] = {}
-        for p, q, sc, _ in combos:
+        for p, q, sc in combos:
             by_lam.setdefault((p, q), []).append(sc << shift)
-        zero_sums = [
-            t.num << (k2 - t.k) for t in self._zero_sums(width_d, cap)
-        ]
+        zero_sums = self._zero_sums(width, shift, cap)
         elements = set()
         for (p, q), scs in by_lam.items():
             hi = min(scs) + width
@@ -274,78 +260,17 @@ class GenSemigroup:
                     if s < hi:
                         elements.add((p, q, s))
         elements.discard((0, 0, 0))  # the zero element is not a member
-        return den, k2, elements
+        return fk, sk, elements
 
     def enumerate_box(self, box: Box, cap: int = DEFAULT_STATE_CAP) -> List[LexVec]:
         """Every distinct nonzero semigroup element inside the box,
         exact and sorted."""
-        den, k, elements = self._box_elements(box, cap)
-        out = []
-        for p, q, s in elements:
-            fc = _make_fc(self.spec.kinds[0], Fraction(p, den), Fraction(q, den))
-            out.append(self.spec.vec(fc, Dyadic(s, k)))
-        out.sort()
-        return out
+        fk, sk, elements = self._box_elements(box, cap)
+        return sorted(self._decode(p, q, fk, s, sk) for p, q, s in elements)
 
     def count_box(self, box: Box, cap: int = DEFAULT_STATE_CAP) -> int:
         """len(enumerate_box(box)) without materializing the vectors."""
         return len(self._box_elements(box, cap)[2])
-
-    def successor(
-        self, phi: LexVec, search_bound: LexVec, cap: int = DEFAULT_STATE_CAP
-    ) -> Optional[LexVec]:
-        """Least semigroup element strictly greater than phi and below
-        search_bound, or None if the window contains none."""
-        if not phi < search_bound:
-            return None
-        hi_p, hi_q = _fc_parts(search_bound.coords[0])
-        phi_p, phi_q = _fc_parts(phi.coords[0])
-        phi_sc = _sc_dyadic(phi.coords[1])
-        # include combos with first coordinate up to and including the
-        # bound's first coordinate
-        den, k, combos = self._pos_combos((hi_p + 1, hi_q), cap)
-        zero_min = None
-        for g in self.zeros:
-            gv = _sc_dyadic(g.coords[1])
-            if zero_min is None or gv < zero_min:
-                zero_min = gv
-        best = None
-        lam_groups: Dict[Tuple[int, int], List[Dyadic]] = {}
-        for p, q, sc, _ in combos:
-            lam_groups.setdefault((p, q), []).append(Dyadic(sc, k))
-        for (p, q), scs in sorted(lam_groups.items()):
-            lam_frac = (Fraction(p, den), Fraction(q, den))
-            fc = _make_fc(self.spec.kinds[0], *lam_frac)
-            at_phi = lam_frac == (phi_p, phi_q)
-            for s0 in scs:
-                if at_phi:
-                    # need s0 + t > phi_sc with t a zero-generator sum
-                    gap = phi_sc - s0
-                    cands = []
-                    if s0 > phi_sc:
-                        cands.append(s0)
-                    if self.zeros:
-                        limit = gap + zero_min + Dyadic(1)
-                        for t in self._zero_sums(max(limit, Dyadic(1)), cap):
-                            if t.sign() > 0 and s0 + t > phi_sc:
-                                cands.append(s0 + t)
-                    for s in cands:
-                        v = self.spec.vec(fc, s)
-                        if phi < v < search_bound and (best is None or v < best):
-                            best = v
-                else:
-                    v = self.spec.vec(fc, s0)
-                    if phi < v < search_bound and (best is None or v < best):
-                        best = v
-        return best
-
-
-def _make_fc(kind: str, p: Fraction, q: Fraction):
-    if kind == "quad":
-        return QuadReal(Dyadic.from_fraction(p), Dyadic.from_fraction(q))
-    if q != 0:
-        raise UsageError("sqrt2 part in a dyadic coordinate")
-    return Dyadic.from_fraction(p)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import UsageError
+from .errors import UsageError, VerificationError
 from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal
 from .poly import LaurentZ, MPoly, div_in_var
 
@@ -41,7 +41,8 @@ def eta(i: int) -> Dyadic:
 def eta_closed(i: int) -> Dyadic:
     """Closed form (1/3)(2^(i+2) - 1/2^i) = (2^(2i+2) - 1) / (3 * 2^i)."""
     num = (1 << (2 * i + 2)) - 1
-    assert num % 3 == 0
+    if num % 3:
+        raise VerificationError(f"2^{2 * i + 2} - 1 is not divisible by 3")
     return Dyadic(num // 3, i)
 
 
@@ -49,11 +50,10 @@ class SeqFamily:
     """One generating-sequence family with cached polynomials and values.
 
     ``weights[i]`` is sigma(i) for a P family or tau(i) for a Q family,
-    defined for i >= 1.  ``overrides`` may replace individual cached
-    second-coordinate values; it exists for negative-control tests.
+    defined for i >= 1.
     """
 
-    def __init__(self, kind: str, weights, overrides: Optional[Dict[int, Dyadic]] = None):
+    def __init__(self, kind: str, weights):
         if kind not in ("P", "Q"):
             raise UsageError(f"unknown family kind {kind!r}")
         if not isinstance(weights, dict):
@@ -63,7 +63,6 @@ class SeqFamily:
                 raise UsageError(f"invalid weight {w} at index {i}")
         self.kind = kind
         self.weights = dict(weights)
-        self.overrides = dict(overrides or {})
         if kind == "P":
             self.main0, self.main1 = 0, 1  # x, y
         else:
@@ -102,8 +101,6 @@ class SeqFamily:
 
     def second(self, i: int) -> Dyadic:
         """gamma_i for a P family, delta_i for a Q family; exact dyadic."""
-        if i in self.overrides:
-            return self.overrides[i]
         while len(self._seconds) <= i:
             j = len(self._seconds)
             w = self.weight(j)
@@ -143,10 +140,6 @@ def delta(fam: SeqFamily, i: int) -> Dyadic:
     if fam.kind != "Q":
         raise UsageError("delta is defined for Q families")
     return fam.second(i)
-
-
-def build_seq(fam: SeqFamily, i: int) -> MPoly:
-    return fam.poly(i)
 
 
 @dataclass(frozen=True)
@@ -248,11 +241,7 @@ class ValuationDef:
         for fam in self.families():
             firsts.append(self.gen_value(fam, 0).coords[0])
             firsts.append(self.gen_value(fam, 1).coords[0])
-        lo = firsts[0]
-        for c in firsts[1:]:
-            if _lt(c, lo):
-                lo = c
-        return lo
+        return min(firsts)
 
     def descriptor(self) -> dict:
         out = {"form": self.form}
@@ -261,12 +250,6 @@ class ValuationDef:
         if self.q is not None:
             out["tau"] = [self.q.weights[i] for i in sorted(self.q.weights)]
         return out
-
-
-def _lt(a, b) -> bool:
-    if isinstance(a, QuadReal) or isinstance(b, QuadReal):
-        return QuadReal._coerce(a)._cmp(b) < 0
-    return a < b
 
 
 def _expand_family(f: MPoly, fam: SeqFamily) -> List[Tuple[MPoly, Tuple[int, ...]]]:
@@ -393,7 +376,7 @@ def _min_term(v: ValuationDef, terms: List[ExpTerm]) -> Tuple[LexVec, ExpTerm]:
     if best is None:
         raise UsageError("empty expansion has no value")
     if tie:
-        raise AssertionError("expansion minimum attained by more than one term")
+        raise VerificationError("expansion minimum attained by more than one term")
     return best, best_term
 
 

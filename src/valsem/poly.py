@@ -60,9 +60,6 @@ class LaurentZ:
     def is_zero(self) -> bool:
         return not self.c
 
-    def is_term(self) -> bool:
-        return len(self.c) == 1
-
     def unit_parts(self) -> Optional[Tuple[Fraction, int]]:
         """(c, k) if this equals c*z^k, else None."""
         if len(self.c) != 1:
@@ -210,10 +207,6 @@ class MPoly:
         m[VAR_INDEX[name]] = 1
         return MPoly._raw({tuple(m): LaurentZ.one()})
 
-    @staticmethod
-    def monomial(m: Monomial, c: LaurentZ) -> "MPoly":
-        return MPoly._raw({m: c} if not c.is_zero() else {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -320,11 +313,6 @@ class MPoly:
 
     def __str__(self):
         return format_poly(self)
-
-
-def ord_z(c: LaurentZ) -> int:
-    """Minimal z-exponent with nonzero coefficient; errors on zero."""
-    return c.ord_z()
 
 
 def div_in_var(f: MPoly, g: MPoly, var: int) -> Tuple[MPoly, MPoly]:

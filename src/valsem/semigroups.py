@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import List, Sequence
 
-from .errors import CapExceeded, UsageError
+from .errors import CapExceeded, UsageError, VerificationError
 from .exact import Dyadic
 
 DEFAULT_MEMBER_CAP = 1_000_000
@@ -38,7 +38,8 @@ def stair_count(r: int, n: int) -> int:
         raise UsageError("staircase parameter r must be positive")
     m, _ = stair_decompose(n)
     count = 1 << ((m + 1) * r)
-    assert n**r < count <= (n**r) << r
+    if not n**r < count <= (n**r) << r:
+        raise VerificationError(f"staircase count {count} at n={n} breaks its sandwich")
     return count
 
 
@@ -127,7 +128,8 @@ def powersum(y: int, r: int) -> int:
     total = sum(
         comb(r + 1, j) * _bernoulli(j) * y ** (r + 1 - j) for j in range(r + 1)
     ) / (r + 1)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise VerificationError(f"Faulhaber sum for y={y}, r={r} is not an integer")
     return total.numerator
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -63,6 +64,13 @@ class TestValuate:
         )
         assert code == 0 and out == ""
         assert dst.read_text().splitlines()[0] == "(5, -2)"
+
+    def test_missing_poly_file_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "valuate", "--sigma", "2,5", "--poly-file", "/nonexistent"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_quad_form(self, capsys):
         code, out, _ = run(
@@ -145,6 +153,15 @@ class TestCount:
         assert code == 0 and payload["rows"][0]["count"] == 23
 
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        dst = tmp_path / "missing" / "o"
+        code, out, err = run(
+            capsys, "count", "--y1", "4", "--y2", "4", "--out", str(dst)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestExample3:
     def test_crossover_default(self, capsys):
         code, out, _ = run(capsys, "example3")
@@ -211,3 +228,29 @@ class TestSelftest:
         assert code == 0
         lines = [l for l in out.strip().splitlines() if ": " in l]
         assert lines and all(l.endswith(": ok") for l in lines)
+
+
+# sha256 of stdout for fixed invocations: tilde witnesses, box counts and
+# certificate rows must keep every byte
+GOLDEN = [
+    (["valuate", "--sigma", "2,5", "--poly", "y^2"],
+     "cc3921f4c695fad7949079fc8faabcd9d7cb3c0d8d35c20223e3ddba5676b39c"),
+    (["tilde", "--lambda", "21/4"],
+     "e3b2864826f4aeb647a88f912557baa35580e0566e0e306f594abb7c070ddb3d"),
+    (["count", "--y1", "4", "--y2", "4"],
+     "1af11eeaff229aa3cf5e1357e7c9672888cc956e7562354a2e2033b2979bea7f"),
+    (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5",
+      "--lambda", "21/4 + 21/4*sqrt2", "--format", "json"],
+     "f8485b45c5f591fc74e16292fb7d7b77301c230377ec5ea936bc36ddb3ba2fe2"),
+    (["count", "--y1", "12", "--y2", "10", "--format", "json"],
+     "9f1165206b33ec3a55cca27e4db99062da61874238f51c0ebf8c25b956fbca5d"),
+    (["wild", "--kind", "both", "--N", "256", "--format", "csv"],
+     "0cd79daec6db68cffa400e70431792e690caabed43cdc728bd37487dd55a43dc"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -27,6 +27,8 @@ from valsem.exact import (
 
 dyadics = st.builds(Dyadic, st.integers(-10**6, 10**6), st.integers(0, 40))
 quads = st.builds(QuadReal, dyadics, dyadics)
+big_dyadics = st.builds(Dyadic, st.integers(-(2**200), 2**200), st.integers(0, 40))
+big_quads = st.builds(QuadReal, big_dyadics, big_dyadics)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -147,6 +149,12 @@ class TestQuadReal:
     def test_floor_bracket(self, x):
         n = x.floor()
         assert quad_cmp(x, n) >= 0 and quad_cmp(x, n + 1) < 0
+
+    @given(big_quads)
+    @settings(max_examples=200, deadline=None)
+    def test_floor_bracket_huge_parts(self, x):
+        n = x.floor()
+        assert x >= n and x < n + 1
 
 
 class TestLexVec:

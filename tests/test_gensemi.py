@@ -210,39 +210,6 @@ class TestEnumerateBox:
         assert set(got) == elements
 
 
-class TestSuccessor:
-    def test_examples(self):
-        sg = GenSemigroup(DYADIC2, [DYADIC2.vec(0, 1), DYADIC2.vec(1, 0)])
-        hi = DYADIC2.vec(5, 0)
-        assert sg.successor(DYADIC2.vec(0, 1), hi) == DYADIC2.vec(0, 2)
-        # below the least generator
-        assert sg.successor(DYADIC2.vec(0, 0), hi) == DYADIC2.vec(0, 1)
-        # empty window
-        assert sg.successor(DYADIC2.vec(4, 9), DYADIC2.vec(4, 9)) is None
-
-    def test_walk_matches_enumeration(self):
-        v = sigma_25()
-        sg = box_semigroup(v)
-        box = Box(4, 4, v.t1(), v.t2())
-        els = sg.enumerate_box(box)
-        # walk successors through the first few box elements
-        cur = sg.spec.zero()
-        hi = sg.spec.vec(4, 0)
-        seen = []
-        for _ in range(12):
-            cur = sg.successor(cur, hi)
-            if cur is None:
-                break
-            seen.append(cur)
-        # every walked element below the box ceiling that lies in the box
-        # appears in the enumeration
-        for e in seen:
-            entry = sg.tilde(e.coords[0])
-            lo = entry.tilde.coords[1]
-            if lo <= e.coords[1] < lo + Dyadic(4):
-                assert e in els
-
-
 class TestBoxBound:
     def test_worked_example(self):
         report = box_bound_check(sigma_25(), 4, 4)

@@ -227,8 +227,10 @@ class TestKeyIdentities:
         for i in range(1, 6):
             assert check_key_identity(v, i)
 
-    def test_negative_control_override(self):
-        fam = SeqFamily("P", SIGMA_LONG, overrides={2: Dyadic(17)})
+    def test_negative_control_override(self, monkeypatch):
+        fam = SeqFamily("P", SIGMA_LONG)
+        second = fam.second
+        monkeypatch.setattr(fam, "second", lambda i: Dyadic(17) if i == 2 else second(i))
         v = ValuationDef("P3", p=fam)
         assert not check_key_identity(v, 2, symbolic=False)
 
