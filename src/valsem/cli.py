@@ -405,11 +405,13 @@ def _add_common(sp, with_poly=False, with_weights=True):
         sp.add_argument("--poly-file", help="file containing polynomial text")
     sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     sp.add_argument("--out", help="write output to FILE instead of stdout")
-    sp.add_argument("--approx", action="store_true",
-                    help="append decimal renderings, clearly marked approximate")
     sp.add_argument("--max-states", type=int, default=None,
                     help="enumeration state cap (default from VALSEM_MAX_STATES)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
+
+
+def _add_approx(sp):
+    sp.add_argument("--approx", action="store_true",
+                    help="append decimal renderings, clearly marked approximate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("valuate", help="value and expansion of a polynomial")
     _add_common(sp, with_poly=True)
+    _add_approx(sp)
     sp.set_defaults(func=cmd_valuate)
 
     sp = sub.add_parser("expand", help="canonical expansion of a polynomial")
@@ -429,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tilde", help="tilde value of a first coordinate")
     _add_common(sp)
+    _add_approx(sp)
     sp.add_argument("--lambda", required=True, help="first-coordinate value")
     sp.set_defaults(func=cmd_tilde)
 
@@ -460,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="run a small built-in check battery")
     _add_common(sp, with_weights=False)
+    sp.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
     sp.set_defaults(func=cmd_selftest)
 
     return parser

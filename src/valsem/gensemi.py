@@ -1,12 +1,22 @@
-"""Finitely generated value sub-semigroups: enumeration, tilde, boxes.
+"""Finitely generated value sub-semigroups: tilde values and box counts.
 
 A GenSemigroup is the sub-semigroup of the nonnegative part of a rank-2
-lex group generated by a finite list of vectors.  The tilde value of a
-first-coordinate lambda is the least second coordinate among semigroup
-elements whose first coordinate equals lambda; it is computed by an
-exact bounded knapsack over a common-denominator integer rescaling
-(two simultaneous integer constraints when first coordinates carry a
-sqrt(2) part).
+lex group generated by a finite list of vectors.  Both searches run on
+one common-denominator integer rescaling of the generators (two
+simultaneous integer constraints when first coordinates carry a sqrt(2)
+part).
+
+The tilde value of a first-coordinate lambda is the least second
+coordinate among semigroup elements whose first coordinate equals
+lambda.  It is found by an exact depth-first search over exponent
+vectors, pruned where even the least second coordinate per unit of
+first coordinate among the remaining generators cannot beat the best
+value found; the state cap counts the visited search states.
+
+A pseudo-box count is a forward DP over the first coordinates reachable
+under the box bound: each holds its tilde value and a bit mask of the
+second coordinates it reaches inside its window.  The state cap counts
+the cell updates, each weighed by the 64-bit words of the window.
 """
 
 from __future__ import annotations
@@ -107,10 +117,20 @@ class GenSemigroup:
             else:
                 self.zeros.append(g)
                 self._zero_ints.append(s)
+        # for each i, the generator among positive ones i.. with the least
+        # ratio s/(p + q*sqrt2), which bounds what a tilde search can add
+        self._least_ratio = []
+        for g in reversed(self._pos_ints):
+            least = self._least_ratio[-1] if self._least_ratio else g
+            if _sign_surd(g[2] * least[0] - least[2] * g[0], g[2] * least[1] - least[2] * g[1]) < 0:
+                least = g
+            self._least_ratio.append(least)
+        self._least_ratio.reverse()
 
     def _scaled_pos(self, k: int):
         """Positive generators with first coordinates over 2^max(fk, k),
-        and that exponent."""
+        and that exponent: a box bound may have more halvings than the
+        generators."""
         if k <= self._fk:
             return self._pos_ints, self._fk
         d = k - self._fk
@@ -123,59 +143,6 @@ class GenSemigroup:
             fc = Dyadic(p, fk)
         return self.spec.vec(fc, Dyadic(s, sk))
 
-    # -- positive-first-coordinate combinations -------------------------
-
-    def _pos_combos(self, hp: int, hq: int, hk: int, cap: int):
-        """All N-combinations of the positive-fc generators whose first
-        coordinate stays strictly under (hp + hq*sqrt2)/2^hk; returns
-        (fk, triples) with the triples (p, q, s) on the lattice over
-        2^fk."""
-        gens, fk = self._scaled_pos(hk)
-        hp <<= fk - hk
-        hq <<= fk - hk
-        out = []
-        states = 0
-
-        def rec(idx, p, q, sc):
-            nonlocal states
-            states += 1
-            if states > cap:
-                raise CapExceeded("semigroup enumeration state cap exceeded", cap)
-            if idx == len(gens):
-                out.append((p, q, sc))
-                return
-            gp, gq, gsc = gens[idx]
-            while _sign_surd(hp - p, hq - q) > 0:
-                rec(idx + 1, p, q, sc)
-                p += gp
-                q += gq
-                sc += gsc
-
-        rec(0, 0, 0, 0)
-        return fk, out
-
-    # -- zero-first-coordinate combinations -----------------------------
-
-    def _zero_sums(self, hi: int, shift: int, cap: int) -> List[int]:
-        """All second-coordinate sums, over 2^(sk + shift), of
-        zero-fc generator combinations in [0, hi[, deduplicated and
-        sorted."""
-        sums = {0}
-        frontier = [0]
-        states = 0
-        gvals = [s << shift for s in self._zero_ints]
-        while frontier:
-            cur = frontier.pop()
-            for gv in gvals:
-                nxt = cur + gv
-                states += 1
-                if states > cap:
-                    raise CapExceeded("zero-generator sum cap exceeded", cap)
-                if nxt < hi and nxt not in sums:
-                    sums.add(nxt)
-                    frontier.append(nxt)
-        return sorted(sums)
-
     # -- tilde ----------------------------------------------------------
 
     def tilde(self, lam, cap: int = DEFAULT_STATE_CAP) -> Optional[TildeEntry]:
@@ -184,20 +151,22 @@ class GenSemigroup:
 
         Generators with first coordinate zero never appear in a witness:
         their second coordinates are positive, so dropping them only
-        lowers the objective.
+        lowers the objective.  Of the exponent vectors attaining the least
+        value, the witness is the lexicographically greatest.
         """
         target = _lattice(lam)
         if target is None:
             return None
         tp, tq, tk = target
-        if tp < 0 or tq < 0:
-            return None
+        if tp < 0 or tq < 0 or tk > self._fk:
+            return None  # sums of the generators never leave their lattice
         if not (tp or tq):
             return TildeEntry(lam, self.spec.zero(), (0,) * len(self.generators))
-        gens, fk = self._scaled_pos(tk)
+        gens, fk = self._pos_ints, self._fk
         tp <<= fk - tk
         tq <<= fk - tk
         n = len(gens)
+        least_ratio = self._least_ratio
         best: Optional[Tuple[int, Tuple[int, ...]]] = None
         states = 0
 
@@ -212,6 +181,14 @@ class GenSemigroup:
                 return
             if idx == n:
                 return
+            if best is not None:
+                # every completion adds at least rho * (rem_p + rem_q*sqrt2)
+                # with rho = ks/(kp + kq*sqrt2); one that cannot beat best
+                # strictly would not replace it
+                kp, kq, ks = least_ratio[idx]
+                gap = best[0] - sc
+                if _sign_surd(ks * rem_p - gap * kp, ks * rem_q - gap * kq) >= 0:
+                    return
             gp, gq, gsc = gens[idx]
             if gp:
                 e_max = rem_p // gp
@@ -233,44 +210,102 @@ class GenSemigroup:
             witness[i] = e
         return TildeEntry(lam, self._decode(tp, tq, fk, sc, self._sk), tuple(witness))
 
-    # -- enumeration ----------------------------------------------------
+    # -- boxes ----------------------------------------------------------
 
-    def _box_elements(self, box: Box, cap: int):
-        """Distinct in-box elements as integer triples (p, q, s) with
-        first coordinate (p + q*sqrt2)/2^fk and second coordinate s/2^sk;
-        returns (fk, sk, triples)."""
-        if box.y1 == 0 or box.y2 == 0:
-            return 0, 0, set()
-        tp, tq, tk = _lattice(box.t2)
-        fk, combos = self._pos_combos(box.y2 * tp, box.y2 * tq, tk, cap)
+    def _box_cells(self, box: Box, cap: int):
+        """Every reachable first coordinate of the box with its window of
+        second coordinates, by a forward DP over the lattice.
+
+        Returns (fk, sk, m, cells).  A key of cells is p*m + q for the
+        first coordinate (p + q*sqrt2)/2^fk; its value (lo, mask) has
+        lo = tilde over 2^sk, and bit j of mask set iff lo + j is a
+        second coordinate of the semigroup there, for j below the
+        window width y1*sc(t1).  The zero element is bit 0 at key 0.
+
+        The DP runs one generator at a time over the reached points, as
+        an unbounded knapsack: each point passes its window on to the
+        point one generator further, up the chain of that generator.
+        Clipping to the window is exact because tilde(lam) is at most
+        tilde(lam - g) + sc(g).  Every cell update counts the 64-bit
+        words of its window against cap.
+        """
         t1 = Dyadic._coerce(box.t1.coords[1])
         sk = max(self._sk, t1.k)
         shift = sk - self._sk
         width = box.y1 * t1.num << (sk - t1.k)
-        by_lam: Dict[Tuple[int, int], List[int]] = {}
-        for p, q, sc in combos:
-            by_lam.setdefault((p, q), []).append(sc << shift)
-        zero_sums = self._zero_sums(width, shift, cap)
-        elements = set()
-        for (p, q), scs in by_lam.items():
-            hi = min(scs) + width
-            for s0 in scs:
-                for t in zero_sums:
-                    s = s0 + t
-                    if s < hi:
-                        elements.add((p, q, s))
-        elements.discard((0, 0, 0))  # the zero element is not a member
-        return fk, sk, elements
+        tp, tq, tk = _lattice(box.t2)
+        gens, fk = self._scaled_pos(tk)
+        hp, hq = box.y2 * tp << (fk - tk), box.y2 * tq << (fk - tk)
+        if width <= 0 or _sign_surd(hp, hq) <= 0:
+            return fk, sk, 1, {}
+        gens = [g for g in gens if _sign_surd(hp - g[0], hq - g[1]) > 0]
+        # q stays below max(hp, 0) + max(hq, 0) under the bound
+        m = max(hp, 0) + max(hq, 0) + 1 if any(gq for _, gq, _ in gens) else 1
+        # first coordinate 0: the zero-generator sums, closed by shift-or;
+        # doubling the step closes under all multiples of one generator
+        steps = [z << shift << i for z in self._zero_ints
+                 for i in range(((width - 1) // (z << shift)).bit_length())]
+        words = (width + 63) >> 6
+        states = words * (1 + len(steps))
+        if states > cap:  # before any mask as wide as the window exists
+            raise CapExceeded("box count state cap exceeded", cap)
+        full = (1 << width) - 1
+        mask = 1
+        for step in steps:
+            mask = (mask | mask << step) & full
+        cells: Dict[int, Tuple[int, int]] = {0: (0, mask)}
+
+        for gp, gq, gs in gens:
+            gk = gp * m + gq
+            s = gs << shift
+            walked = set()
+            for key in sorted(cells):
+                if key in walked:
+                    continue
+                lo, mask = cells[key]
+                p, q = divmod(key, m)
+                while True:
+                    p += gp
+                    q += gq
+                    if _sign_surd(hp - p, hq - q) <= 0:
+                        break
+                    states += words
+                    if states > cap:
+                        raise CapExceeded("box count state cap exceeded", cap)
+                    key += gk
+                    walked.add(key)
+                    lo += s
+                    old = cells.get(key)
+                    if old is not None:  # merge; a shift past the window drops a mask
+                        old_lo, old_mask = old
+                        if old_lo < lo:
+                            d = lo - old_lo
+                            mask = old_mask | (mask << d & full if d < width else 0)
+                            lo = old_lo
+                        elif old_lo - lo < width:
+                            mask |= old_mask << (old_lo - lo) & full
+                    cells[key] = (lo, mask)
+        return fk, sk, m, cells
 
     def enumerate_box(self, box: Box, cap: int = DEFAULT_STATE_CAP) -> List[LexVec]:
         """Every distinct nonzero semigroup element inside the box,
         exact and sorted."""
-        fk, sk, elements = self._box_elements(box, cap)
-        return sorted(self._decode(p, q, fk, s, sk) for p, q, s in elements)
+        fk, sk, m, cells = self._box_cells(box, cap)
+        out = []
+        for key, (lo, mask) in cells.items():
+            p, q = divmod(key, m)
+            if not key:
+                mask -= 1  # the zero element is not a member
+            while mask:
+                low = mask & -mask
+                out.append(self._decode(p, q, fk, lo + low.bit_length() - 1, sk))
+                mask ^= low
+        return sorted(out)
 
     def count_box(self, box: Box, cap: int = DEFAULT_STATE_CAP) -> int:
         """len(enumerate_box(box)) without materializing the vectors."""
-        return len(self._box_elements(box, cap)[2])
+        cells = self._box_cells(box, cap)[3]
+        return sum(mask.bit_count() for _, mask in cells.values()) - bool(cells)
 
 
 @dataclass

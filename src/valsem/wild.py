@@ -163,15 +163,16 @@ def _scales(kind: str, params: WildParams):
     return e, e << (e + 2)
 
 
-def _scaled_semigroup(vdef: ValuationDef, fam: SeqFamily, params: WildParams, up_to: int) -> GenSemigroup:
-    """Generators of the equivalent valuation omega restricted to one
-    chain: omega(z) = (0, c), omega(root) = (a, 0), scaled members."""
+def _scaled_semigroup(vdef: ValuationDef, params: WildParams, up_to: int) -> GenSemigroup:
+    """Generators of the equivalent valuation omega: omega(z) = (0, c),
+    omega(root) = (a, 0), and the scaled members of every family up to
+    index up_to."""
     gens = [vdef.group.vec(0, params.c)]
-    for f2 in vdef.families():
-        scale = _chain_scale(vdef, f2, params)
-        for i in range(0, min(up_to, f2.max_index) + 1):
+    for fam in vdef.families():
+        scale = _chain_scale(vdef, fam, params)
+        for i in range(0, min(up_to, fam.max_index) + 1):
             first = scale * eta(i)
-            second = params.c * f2.second(i)
+            second = params.c * fam.second(i)
             gens.append(vdef.group.vec(first, second))
     return GenSemigroup(vdef.group, gens)
 
@@ -223,7 +224,7 @@ def wild_certificate(
         if fam is None:
             raise UsageError(f"valuation form {vdef.form} lacks a needed family")
         fam.weight(i_hi)  # fail early, naming the missing index
-    semigroup = _scaled_semigroup(vdef, chains[0][1], params, TILDE_CROSS_CHECK_MAX_INDEX)
+    semigroup = _scaled_semigroup(vdef, params, TILDE_CROSS_CHECK_MAX_INDEX)
     cert = Certificate(
         kind=kind,
         valuation=vdef.descriptor(),

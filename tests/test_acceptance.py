@@ -170,7 +170,7 @@ def test_criterion_7_tilde_oracle_equivalence():
             assert entry is None
         else:
             assert entry is not None
-            assert entry.tilde.coords[1].as_fraction() == oracle
+            assert entry.tilde.coords[1].as_fraction() == oracle[0]
     report(7, "tilde oracle equivalence", t0, 20)
 
 

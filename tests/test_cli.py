@@ -122,6 +122,10 @@ class TestTilde:
         code, _, err = run(capsys, "tilde", "--lambda", "1")
         assert code == 2 and "VALSEM_MAX_STATES" in err
 
+    def test_approx(self, capsys):
+        code, out, _ = run(capsys, "tilde", "--lambda", "21/2^2", "--approx")
+        assert code == 0 and "[approx (5.25, -3)]" in out
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "tilde", "--lambda", "21/2^2", "--format", "json"
@@ -152,6 +156,17 @@ class TestCount:
         payload = json.loads(out)
         assert code == 0 and payload["rows"][0]["count"] == 23
 
+    def test_approx_rejected(self, capsys):
+        # --approx is registered only where some output reads it
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--y1", "4", "--y2", "4", "--approx"])
+        assert exc.value.code == 2
+
+    def test_cap_exceeded_exit_3(self, capsys):
+        code, _, err = run(
+            capsys, "count", "--y1", "40", "--y2", "40", "--max-states", "5"
+        )
+        assert code == 3 and "cap" in err
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         dst = tmp_path / "missing" / "o"

@@ -10,33 +10,93 @@ from valsem.gensemi import Box, GenSemigroup, box_bound_check, box_semigroup
 from valsem.semigroups import theorem1_bound
 
 
-def brute_tilde(gens, lam: Fraction):
-    """Minimum second coordinate over all exponent vectors of the
-    positive-first-coordinate generators summing to lam; None if lam is
-    not representable.  Independent of the knapsack implementation."""
+def _fc_parts(x):
+    """Rational and sqrt2 parts of a first coordinate, as Fractions."""
+    if isinstance(x, Fraction):
+        return x, Fraction(0)
+    if isinstance(x, QuadReal):
+        return x.rat.as_fraction(), x.surd.as_fraction()
+    return Dyadic._coerce(x).as_fraction(), Fraction(0)
+
+
+def brute_tilde(gens, lam):
+    """(least second coordinate, exponent vector over gens) among all
+    exponent vectors of the positive-first-coordinate generators summing
+    to lam, the vector being the lexicographically greatest of those
+    attaining the least value; None if lam is not representable.
+    Independent of the knapsack implementation: plain enumeration over
+    Fractions, with the rational and sqrt2 parts matched separately."""
     pos = [
-        (g.coords[0].as_fraction(), g.coords[1].as_fraction())
-        for g in gens
-        if g.coords[0].as_fraction() > 0
+        (i, _fc_parts(g.coords[0]), g.coords[1].as_fraction())
+        for i, g in enumerate(gens)
+        if any(_fc_parts(g.coords[0]))
     ]
 
     best = [None]
 
-    def rec(idx, rem, sc):
-        if rem == 0:
-            if best[0] is None or sc < best[0]:
-                best[0] = sc
+    def rec(idx, rem_r, rem_s, sc, exps):
+        if rem_r == 0 and rem_s == 0:
+            vec = [0] * len(gens)
+            for (i, _, _), e in zip(pos, exps):
+                vec[i] = e
+            cand = (sc, tuple(vec))
+            if best[0] is None or sc < best[0][0] or (sc == best[0][0] and cand[1] > best[0][1]):
+                best[0] = cand
             return
         if idx == len(pos):
             return
-        fc, gsc = pos[idx]
+        _, (r, s), gsc = pos[idx]
         e = 0
-        while e * fc <= rem:
-            rec(idx + 1, rem - e * fc, sc + e * gsc)
+        while e * r <= rem_r and e * s <= rem_s:
+            rec(idx + 1, rem_r - e * r, rem_s - e * s, sc + e * gsc, exps + [e])
             e += 1
 
-    rec(0, lam, Fraction(0))
+    rec(0, *_fc_parts(lam), Fraction(0), [])
     return best[0]
+
+
+def brute_box(sg, box):
+    """Every nonzero element in the box, by listing each combination of
+    the positive-first-coordinate generators below y2*t2 and adding
+    every zero-generator sum below the window: the combination
+    enumeration that counted boxes before the DP, kept as its oracle."""
+    if box.y1 == 0 or box.y2 == 0:
+        return []
+    fc_hi = box.y2 * box.t2
+    width = box.y1 * box.t1.coords[1]
+    pos = [g for g in sg.generators if g.coords[0]]
+    zeros = [g.coords[1] for g in sg.generators if not g.coords[0]]
+    combos = []
+
+    def rec(idx, acc):
+        if idx == len(pos):
+            combos.append(acc)
+            return
+        while acc.coords[0] < fc_hi:
+            rec(idx + 1, acc)
+            acc = acc + pos[idx]
+
+    rec(0, sg.spec.zero())
+    zero_sums, frontier = {Dyadic(0)}, [Dyadic(0)]
+    while frontier:
+        cur = frontier.pop()
+        for z in zeros:
+            nxt = cur + z
+            if nxt < width and nxt not in zero_sums:
+                zero_sums.add(nxt)
+                frontier.append(nxt)
+    by_fc = {}
+    for c in combos:
+        by_fc.setdefault(c.coords[0], []).append(c.coords[1])
+    elements = set()
+    for fc, scs in by_fc.items():
+        hi = min(scs) + width
+        for s0 in scs:
+            for t in zero_sums:
+                if s0 + t < hi:
+                    elements.add(sg.spec.vec(fc, s0 + t))
+    elements.discard(sg.spec.zero())
+    return sorted(elements)
 
 
 def sigma_25():
@@ -67,8 +127,51 @@ class TestTilde:
                 assert entry is None
             else:
                 assert entry is not None
-                assert entry.tilde.coords[1].as_fraction() == oracle
+                assert entry.tilde.coords[1].as_fraction() == oracle[0]
+                assert entry.witness == oracle[1]
             checked += 1
+
+    def test_quad_matches_brute_force(self):
+        sg = box_semigroup(ValuationDef.combined([2, 5], [1, 3]))
+        rng = random.Random(103)
+        found = 0
+        for _ in range(100):
+            lam = QuadReal(
+                Dyadic(rng.randint(0, 4 << 2), 2),
+                Dyadic(rng.randint(0, 4 << 2), 2),
+            )
+            oracle = brute_tilde(sg.generators, lam)
+            entry = sg.tilde(lam)
+            if oracle is None:
+                assert entry is None
+            else:
+                found += 1
+                assert entry.tilde == sg.spec.vec(lam, Dyadic.from_fraction(oracle[0]))
+                assert entry.witness == oracle[1]
+        assert found >= 15
+
+    def test_small_random_sets_match_brute_force(self):
+        # few distinct values, so equal least values (the tie rule) and
+        # pruning bounds that are tight to one unit both occur
+        rng = random.Random(7)
+        for _ in range(300):
+            sg = GenSemigroup(DYADIC2, [
+                DYADIC2.vec(Dyadic(rng.randint(1, 8), 2), rng.randint(-2, 2))
+                for _ in range(rng.randint(2, 5))
+            ])
+            lam = Dyadic(rng.randint(0, 24), 2)
+            oracle = brute_tilde(sg.generators, lam)
+            entry = sg.tilde(lam)
+            if oracle is None:
+                assert entry is None
+            else:
+                assert entry.tilde.coords[1].as_fraction() == oracle[0]
+                assert entry.witness == oracle[1]
+
+    def test_off_lattice_is_none_without_search(self):
+        # 3887/2^6 has more halvings than any generator: no state is visited
+        sg = box_semigroup(ValuationDef.p3([2, 5, 3, 7, 9]))
+        assert sg.tilde(Dyadic(3887, 6), cap=1) is None
 
     def test_projection_property(self):
         sg = box_semigroup(sigma_25())
@@ -208,6 +311,54 @@ class TestEnumerateBox:
                     if v2 != sg.spec.zero():
                         elements.add(v2)
         assert set(got) == elements
+
+
+class TestBoxAgainstOracle:
+    def test_p3_windows_up_to_12(self):
+        v = sigma_25()
+        sg = box_semigroup(v)
+        for y1 in range(13):
+            for y2 in range(13):
+                box = Box(y1, y2, v.t1(), v.t2())
+                oracle = brute_box(sg, box)
+                assert sg.enumerate_box(box) == oracle
+                assert sg.count_box(box) == len(oracle)
+
+    @pytest.mark.parametrize("y1,y2", [(6, 5), (4, 7)])
+    def test_c5(self, y1, y2):
+        v = ValuationDef.combined([2, 5], [1, 3])
+        sg = box_semigroup(v)
+        box = Box(y1, y2, v.t1(), v.t2())
+        oracle = brute_box(sg, box)
+        assert sg.enumerate_box(box) == oracle
+        assert sg.count_box(box) == len(oracle)
+
+    @pytest.mark.parametrize("spec,firsts,t2s", [
+        # t2 with more halvings than the generators, two zero generators
+        (DYADIC2, (Dyadic(3, 2), Dyadic(5, 1)), (1, Dyadic(1, 3), Dyadic(5, 2))),
+        # a generator with both a rational and a sqrt2 part
+        (QUAD2, (QuadReal(1, 1), QuadReal(0, Dyadic(3, 1))),
+         (QuadReal(1, 0), QuadReal(Dyadic(1, 1), Dyadic(1, 2)))),
+    ])
+    def test_hand_built_generators(self, spec, firsts, t2s):
+        sg = GenSemigroup(spec, [
+            spec.vec(firsts[0], -1), spec.vec(firsts[1], Dyadic(-3, 1)),
+            spec.vec(0, Dyadic(3, 1)), spec.vec(0, 2),
+        ])
+        for t2 in t2s:
+            box = Box(5, 9, spec.vec(0, Dyadic(1, 1)), t2)
+            oracle = brute_box(sg, box)
+            assert sg.enumerate_box(box) == oracle
+            assert sg.count_box(box) == len(oracle)
+
+    def test_cap_counts_window_words(self):
+        v = sigma_25()
+        sg = box_semigroup(v)
+        with pytest.raises(CapExceeded):
+            sg.count_box(Box(40, 40, v.t1(), v.t2()), cap=5)
+        # one window of 2^40 bits is refused before it is built
+        with pytest.raises(CapExceeded):
+            sg.count_box(Box(1 << 40, 1, v.t1(), v.t2()))
 
 
 class TestBoxBound:
