@@ -96,7 +96,7 @@ def _format_term(vdef: ValuationDef, term) -> str:
         for i, e in enumerate(exps):
             if not e:
                 continue
-            name = ("x" if fam.kind == "P" else "u") if i == 0 else fam.name(i)
+            name = fam.name(i)
             factors.append(name if e == 1 else f"{name}^{e}")
     return " * ".join(factors)
 
@@ -192,11 +192,7 @@ def cmd_expand(args) -> int:
 
 def _named_semigroup(vdef: ValuationDef):
     """The generated sub-semigroup plus a value -> generator-name map."""
-    named = [("z", vdef.z_value())]
-    for fam in vdef.families():
-        for i in range(0, fam.max_index + 1):
-            base = ("x" if fam.kind == "P" else "u") if i == 0 else fam.name(i)
-            named.append((base, vdef.gen_value(fam, i)))
+    named = vdef.generators()
     sg = GenSemigroup(vdef.group, [v for _, v in named])
     names = {}
     for name, v in named:

@@ -231,7 +231,12 @@ class QuadReal:
         o = QuadReal._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).sign()
+        a, b, c, d = self.rat, self.surd, o.rat, o.surd
+        k = max(a.k, b.k, c.k, d.k)
+        return _sign_surd(
+            (a.num << (k - a.k)) - (c.num << (k - c.k)),
+            (b.num << (k - b.k)) - (d.num << (k - d.k)),
+        )
 
     def __eq__(self, other):
         o = QuadReal._coerce(other)

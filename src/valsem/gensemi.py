@@ -88,13 +88,13 @@ class GenSemigroup:
             raise UsageError("GenSemigroup supports rank-2 groups")
         if spec.kinds[1] == "quad":
             raise UsageError("second coordinate must be dyadic")
-        seen = []
         for g in generators:
             if g.spec != spec:
                 raise UsageError("generator does not conform to the group spec")
-            if g not in seen:
+        seen = []  # sorted, each value once
+        for g in sorted(generators):
+            if not seen or g != seen[-1]:
                 seen.append(g)
-        seen.sort()
         self.spec = spec
         self.generators = seen
         fcs = [_lattice(g.coords[0]) for g in seen]
@@ -320,11 +320,7 @@ class BoxBoundReport:
 def box_semigroup(vdef) -> GenSemigroup:
     """The sub-semigroup generated by nu(z), the family roots, and every
     family member whose weight data is defined."""
-    gens = [vdef.z_value()]
-    for fam in vdef.families():
-        for i in range(0, fam.max_index + 1):
-            gens.append(vdef.gen_value(fam, i))
-    return GenSemigroup(vdef.group, gens)
+    return GenSemigroup(vdef.group, [value for _, value in vdef.generators()])
 
 
 def box_bound_check(

@@ -1,13 +1,16 @@
 """Generating sequences and the rank-2 valuations they define.
 
-Two recursive polynomial families are supported.  The P family lives in
-x, y with a weight function sigma:
+Both supported families satisfy one recursion identity.  A family with
+root r (x or u) and second variable y or v has members M_0 = r, M_1
+and, for i >= 1,
 
-    P_0 = x,  P_1 = y,  P_{i+1} = z^sigma(i) * P_i^2 - x^(2^(i+1)) * P_{i-1}
+    z^a_i * M_i^2 = M_{i+1} + z^b_i * r^(2^(i+1)) * M_{i-1}
 
-and the Q family lives in u, v with a weight function tau:
+with shifts (a_i, b_i) = (sigma(i), 0) for the P family in x, y and
+(0, tau(i)) for the Q family in u, v.  So
 
-    Q_0 = u,  Q_1 = v,  Q_{i+1} = Q_i^2 - z^tau(i) * u^(2^(i+1)) * Q_{i-1}
+    P_{i+1} = z^sigma(i) * P_i^2 - x^(2^(i+1)) * P_{i-1}
+    Q_{i+1} = Q_i^2 - z^tau(i) * u^(2^(i+1)) * Q_{i-1}
 
 Every polynomial in the family variables has a unique expansion with
 exponent vectors in N x {0,1}^l over the family, obtained by a cascade
@@ -23,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import UsageError, VerificationError
 from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal
-from .poly import LaurentZ, MPoly, div_in_var
+from .poly import VAR_INDEX, LaurentZ, MPoly, div_in_var
 
 _ETA_CACHE: List[Dyadic] = [Dyadic(1)]
 
@@ -50,7 +53,9 @@ class SeqFamily:
     """One generating-sequence family with cached polynomials and values.
 
     ``weights[i]`` is sigma(i) for a P family or tau(i) for a Q family,
-    defined for i >= 1.
+    defined for i >= 1.  Everything else reads the family through its
+    root variable and its shifts (a_i, b_i) in the identity
+    z^a_i * M_i^2 = M_{i+1} + z^b_i * root^(2^(i+1)) * M_{i-1}.
     """
 
     def __init__(self, kind: str, weights):
@@ -63,13 +68,9 @@ class SeqFamily:
                 raise UsageError(f"invalid weight {w} at index {i}")
         self.kind = kind
         self.weights = dict(weights)
-        if kind == "P":
-            self.main0, self.main1 = 0, 1  # x, y
-        else:
-            self.main0, self.main1 = 2, 3  # u, v
-        v0 = "x" if kind == "P" else "u"
-        v1 = "y" if kind == "P" else "v"
-        self._polys: List[MPoly] = [MPoly.var(v0), MPoly.var(v1)]
+        self.root, top = ("x", "y") if kind == "P" else ("u", "v")
+        self.main0, self.main1 = VAR_INDEX[self.root], VAR_INDEX[top]
+        self._polys: List[MPoly] = [MPoly.var(self.root), MPoly.var(top)]
         self._seconds: List[Dyadic] = [Dyadic(0)]
         self._suffix_products: Dict[Tuple[int, ...], MPoly] = {}
 
@@ -82,33 +83,32 @@ class SeqFamily:
             raise UsageError(f"weight at index {i} is not defined for this family")
         return self.weights[i]
 
+    def shifts(self, i: int) -> Tuple[int, int]:
+        """(a_i, b_i): the z exponents on M_i^2 and on root^(2^(i+1)) * M_{i-1}."""
+        w = self.weight(i)
+        return (w, 0) if self.kind == "P" else (0, w)
+
     def poly(self, i: int) -> MPoly:
-        """P_i (or Q_i), computed by the recursion and cached."""
+        """M_i, computed by the recursion and cached."""
         if i < 0:
             raise UsageError("family index must be nonnegative")
         while len(self._polys) <= i:
-            j = len(self._polys) - 1  # building index j+1 from weight(j)
-            w = self.weight(j)
-            z_w = MPoly.constant(LaurentZ.term(1, w))
-            x_pow = MPoly.var("x" if self.kind == "P" else "u") ** (1 << (j + 1))
+            j = len(self._polys) - 1  # building index j+1 from the shifts at j
+            a, b = self.shifts(j)
+            root_pow = MPoly.var(self.root) ** (1 << (j + 1))
             sq = self._polys[j] * self._polys[j]
-            if self.kind == "P":
-                nxt = z_w * sq - x_pow * self._polys[j - 1]
-            else:
-                nxt = sq - z_w * x_pow * self._polys[j - 1]
-            self._polys.append(nxt)
+            self._polys.append(sq.scaled(1, a) - (root_pow * self._polys[j - 1]).scaled(1, b))
         return self._polys[i]
 
     def second(self, i: int) -> Dyadic:
-        """gamma_i for a P family, delta_i for a Q family; exact dyadic."""
+        """gamma_i for a P family, delta_i for a Q family; exact dyadic.
+
+        s_j = (s_{j-1} + b_j - a_j) / 2, from the values of both sides
+        of the identity at j.
+        """
         while len(self._seconds) <= i:
-            j = len(self._seconds)
-            w = self.weight(j)
-            prev = self._seconds[-1]
-            if self.kind == "P":
-                self._seconds.append((prev - w) * Dyadic(1, 1))
-            else:
-                self._seconds.append((prev + w) * Dyadic(1, 1))
+            a, b = self.shifts(len(self._seconds))
+            self._seconds.append((self._seconds[-1] + (b - a)) * Dyadic(1, 1))
         return self._seconds[i]
 
     def value(self, i: int) -> Tuple[Dyadic, Dyadic]:
@@ -116,7 +116,8 @@ class SeqFamily:
         return eta(i), self.second(i)
 
     def name(self, i: int) -> str:
-        return f"{self.kind}_{i}"
+        """The root variable for i = 0, else P_i or Q_i."""
+        return f"{self.kind}_{i}" if i else self.root
 
     def suffix_product(self, suffix: Tuple[int, ...]) -> MPoly:
         """prod member_i^e for the exponents (e at index i >= 1), cached."""
@@ -172,11 +173,18 @@ def _canon_exps(exps: Tuple[int, ...]) -> Tuple[int, ...]:
     return exps[:n]
 
 
+def _slot(fam: SeqFamily) -> str:
+    """The ExpTerm field that holds the exponents over fam."""
+    return "alpha" if fam.kind == "P" else "beta"
+
+
 class ValuationDef:
     """A rank-2 valuation defined by one or two generating families.
 
     Forms: "P3" (x, y, z), "Q3" (u, v, z), "C5" (all five variables,
-    value group with a sqrt(2) first coordinate).
+    value group with a sqrt(2) first coordinate).  The first coordinate
+    of a value is read through ``first``: in C5 the P part is its
+    rational part and the Q part its sqrt(2) part.
     """
 
     def __init__(self, form: str, p: Optional[SeqFamily] = None, q: Optional[SeqFamily] = None):
@@ -206,14 +214,18 @@ class ValuationDef:
         return ValuationDef("C5", p=SeqFamily("P", sigma), q=SeqFamily("Q", tau))
 
     def allowed_vars(self) -> Tuple[int, ...]:
-        if self.form == "P3":
-            return (0, 1)
-        if self.form == "Q3":
-            return (2, 3)
-        return (0, 1, 2, 3)
+        return tuple(i for fam in self.families() for i in (fam.main0, fam.main1))
 
     def families(self) -> List[SeqFamily]:
         return [f for f in (self.p, self.q) if f is not None]
+
+    def first(self, *parts):
+        """The first coordinate with one part per family, in family order."""
+        return QuadReal(*parts) if self.form == "C5" else parts[0]
+
+    def embed(self, fam: SeqFamily, x):
+        """The first coordinate whose part for fam is x and whose other parts are 0."""
+        return self.first(*[x if f is fam else 0 for f in self.families()])
 
     def z_value(self) -> LexVec:
         return self.group.vec(0, 1)
@@ -221,11 +233,16 @@ class ValuationDef:
     def gen_value(self, fam: SeqFamily, i: int) -> LexVec:
         """The value of the i-th family member as a LexVec of this group."""
         e, s = fam.value(i)
-        if self.form == "C5" and fam.kind == "Q":
-            return self.group.vec(QuadReal(0, e), s)
-        if self.form == "C5":
-            return self.group.vec(QuadReal(e, 0), s)
-        return self.group.vec(e, s)
+        return self.group.vec(self.embed(fam, e), s)
+
+    def generators(self) -> List[Tuple[str, LexVec]]:
+        """(name, value) of z, of each family root and of every family
+        member whose weight data is defined."""
+        out = [("z", self.z_value())]
+        for fam in self.families():
+            for i in range(0, fam.max_index + 1):
+                out.append((fam.name(i), self.gen_value(fam, i)))
+        return out
 
     def t1(self) -> LexVec:
         """nu(m_R): minimum value over the variable generators and z."""
@@ -278,26 +295,21 @@ def _expand_family(f: MPoly, fam: SeqFamily) -> List[Tuple[MPoly, Tuple[int, ...
 def expand(v: ValuationDef, f: MPoly) -> List[ExpTerm]:
     """The canonical expansion of f for the given valuation form.
 
-    For the five-variable form the expansion is taken in the Q family
-    first, then each coefficient is expanded in the P family.
+    The expansion is taken in the last family first, then each
+    coefficient is expanded in the family before it; for the
+    five-variable form that is the Q family, then the P family.
     """
     if f.is_zero():
         raise UsageError("cannot expand the zero polynomial")
     if not f.uses_only(v.allowed_vars()):
         raise UsageError(f"polynomial uses variables outside the {v.form} form")
-    terms: List[ExpTerm] = []
-    if v.form == "P3":
-        for c, a in _expand_family(f, v.p):
-            terms.append(ExpTerm(c.as_laurent(), alpha=_canon_exps(a)))
-    elif v.form == "Q3":
-        for c, b in _expand_family(f, v.q):
-            terms.append(ExpTerm(c.as_laurent(), beta=_canon_exps(b)))
-    else:
-        for g, b in _expand_family(f, v.q):
-            for c, a in _expand_family(g, v.p):
-                terms.append(
-                    ExpTerm(c.as_laurent(), alpha=_canon_exps(a), beta=_canon_exps(b))
-                )
+    rows = [(f, ())]
+    for fam in reversed(v.families()):
+        rows = [
+            (c, (_canon_exps(a),) + parts) for g, parts in rows for c, a in _expand_family(g, fam)
+        ]
+    slots = [_slot(fam) for fam in v.families()]
+    terms = [ExpTerm(c.as_laurent(), **dict(zip(slots, parts))) for c, parts in rows]
     terms.sort(key=lambda t: (t.alpha, t.beta))
     return terms
 
@@ -331,29 +343,18 @@ def reconstruct(v: ValuationDef, terms: List[ExpTerm]) -> MPoly:
 def term_value(v: ValuationDef, t: ExpTerm) -> LexVec:
     """(0, ord_z a) plus the weight vectors of the term's factors."""
     second = Dyadic(t.coeff.ord_z())
-    if v.form == "C5":
-        rat = Dyadic(0)
-        surd = Dyadic(0)
-        for i, e in enumerate(t.alpha):
+    parts = []
+    for fam, exps in ((v.p, t.alpha), (v.q, t.beta)):
+        if fam is None:
+            continue
+        part = Dyadic(0)
+        for i, e in enumerate(exps):
             if e:
-                rat = rat + e * eta(i)
+                part = part + e * eta(i)
                 if i >= 1:
-                    second = second + e * v.p.second(i)
-        for i, e in enumerate(t.beta):
-            if e:
-                surd = surd + e * eta(i)
-                if i >= 1:
-                    second = second + e * v.q.second(i)
-        return v.group.vec(QuadReal(rat, surd), second)
-    fam = v.p if v.form == "P3" else v.q
-    exps = t.alpha if v.form == "P3" else t.beta
-    first = Dyadic(0)
-    for i, e in enumerate(exps):
-        if e:
-            first = first + e * eta(i)
-            if i >= 1:
-                second = second + e * fam.second(i)
-    return v.group.vec(first, second)
+                    second = second + e * fam.second(i)
+        parts.append(part)
+    return v.group.vec(v.first(*parts), second)
 
 
 @dataclass
@@ -387,18 +388,6 @@ def valuate(v: ValuationDef, f: MPoly) -> ValuationResult:
     return ValuationResult(value, witness, terms)
 
 
-def valuate_terms(v: ValuationDef, terms: List[ExpTerm]) -> LexVec:
-    """The minimum weight over a term list with arbitrary N exponents."""
-    best = None
-    for t in terms:
-        val = term_value(v, t)
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise UsageError("empty term list has no value")
-    return best
-
-
 def _pad(exps: Tuple[int, ...], i: int) -> List[int]:
     out = list(exps)
     out.extend([0] * (i + 1 - len(out)))
@@ -408,10 +397,10 @@ def _pad(exps: Tuple[int, ...], i: int) -> List[int]:
 def normalize_product(v: ValuationDef, terms: List[ExpTerm]) -> List[ExpTerm]:
     """Rewrite a term list with arbitrary N exponents into canonical form.
 
-    Repeatedly substitutes the defining identities
+    Repeatedly substitutes the defining identity of the family whose
+    slot (alpha for P, beta for Q) has an offending exponent,
 
-        P_i^2 = z^-sigma(i) * P_{i+1} + z^-sigma(i) * x^(2^(i+1)) * P_{i-1}
-        Q_i^2 = Q_{i+1} + z^tau(i) * u^(2^(i+1)) * Q_{i-1}
+        M_i^2 = z^(-a_i) * M_{i+1} + z^(b_i - a_i) * root^(2^(i+1)) * M_{i-1}
 
     collecting like terms, until every exponent vector lies in
     N x {0,1}^l.  The minimum weight of the list is preserved at every
@@ -425,13 +414,10 @@ def normalize_product(v: ValuationDef, terms: List[ExpTerm]) -> List[ExpTerm]:
         del work[key]
 
     def offending(key):
-        alpha, beta = key
-        for i in range(1, len(alpha)):
-            if alpha[i] >= 2:
-                return ("P", i)
-        for i in range(1, len(beta)):
-            if beta[i] >= 2:
-                return ("Q", i)
+        for side, exps in enumerate(key):
+            for i in range(1, len(exps)):
+                if exps[i] >= 2:
+                    return side, i
         return None
 
     def add(key, coeff):
@@ -456,29 +442,18 @@ def normalize_product(v: ValuationDef, terms: List[ExpTerm]) -> List[ExpTerm]:
             changed = True
             side, i = hit
             coeff = work.pop(key)
-            alpha, beta = key
-            if side == "P":
-                w = v.p.weight(i)
-                a1 = _pad(alpha, i + 1)
-                a1[i] -= 2
-                a1[i + 1] += 1
-                a2 = _pad(alpha, i + 1)
-                a2[i] -= 2
-                a2[i - 1] += 1
-                a2[0] += 1 << (i + 1)
-                add((_canon_exps(tuple(a1)), beta), coeff.scaled(1, -w))
-                add((_canon_exps(tuple(a2)), beta), coeff.scaled(1, -w))
-            else:
-                w = v.q.weight(i)
-                b1 = _pad(beta, i + 1)
-                b1[i] -= 2
-                b1[i + 1] += 1
-                b2 = _pad(beta, i + 1)
-                b2[i] -= 2
-                b2[i - 1] += 1
-                b2[0] += 1 << (i + 1)
-                add((alpha, _canon_exps(tuple(b1))), coeff)
-                add((alpha, _canon_exps(tuple(b2))), coeff.scaled(1, w))
+            a, b = (v.p, v.q)[side].shifts(i)
+            up = _pad(key[side], i + 1)
+            up[i] -= 2
+            up[i + 1] += 1
+            down = _pad(key[side], i + 1)
+            down[i] -= 2
+            down[i - 1] += 1
+            down[0] += 1 << (i + 1)
+            for exps, shift in ((up, -a), (down, b - a)):
+                new = list(key)
+                new[side] = _canon_exps(tuple(exps))
+                add(tuple(new), coeff.scaled(1, shift))
     out = [ExpTerm(c, alpha=a, beta=b) for (a, b), c in work.items()]
     out.sort(key=lambda t: (t.alpha, t.beta))
     return out
@@ -506,16 +481,12 @@ _SYMBOLIC_POLY_CAP = 5
 
 
 def _check_family_identity(v: ValuationDef, fam: SeqFamily, i: int, symbolic) -> bool:
-    w = fam.weight(i)
+    a, b = fam.shifts(i)
     two_eta = 2 * eta(i)
     left_first = two_eta
     right_first = (1 << (i + 1)) + eta(i - 1)
-    if fam.kind == "P":
-        left_second = Dyadic(w) + 2 * fam.second(i)
-        right_second = fam.second(i - 1)
-    else:
-        left_second = 2 * fam.second(i)
-        right_second = Dyadic(w) + fam.second(i - 1)
+    left_second = Dyadic(a) + 2 * fam.second(i)
+    right_second = Dyadic(b) + fam.second(i - 1)
     ok = left_first == right_first and left_second == right_second
     # strictness against the next member needs only eta data
     ok = ok and two_eta < eta(i + 1)
@@ -526,28 +497,15 @@ def _check_family_identity(v: ValuationDef, fam: SeqFamily, i: int, symbolic) ->
     if symbolic is None and i > 6:
         return True
 
-    def fam_term(exps, coeff=LaurentZ.one()):
-        if fam.kind == "P":
-            return ExpTerm(coeff, alpha=exps)
-        return ExpTerm(coeff, beta=exps)
+    def fam_term(exps, shift=0):
+        return ExpTerm(LaurentZ.term(1, shift), **{_slot(fam): tuple(exps)})
 
-    sq_exps = tuple([0] * i + [2])
-    if fam.kind == "P":
-        left_terms = [fam_term(sq_exps, LaurentZ.term(1, w))]
-    else:
-        left_terms = [fam_term(sq_exps)]
     if i <= _SYMBOLIC_POLY_CAP:
         pi = fam.poly(i)
-        z_w = MPoly.constant(LaurentZ.term(1, w))
-        left_poly = z_w * pi * pi if fam.kind == "P" else pi * pi
-        left_val = valuate(v, left_poly).value
+        left_val = valuate(v, (pi * pi).scaled(1, a)).value
     else:
-        left_val = valuate_terms(v, normalize_product(v, left_terms))
-    if fam.kind == "P":
-        right = fam_term(tuple(_r_exps(i)))
-    else:
-        right = fam_term(tuple(_r_exps(i)), LaurentZ.term(1, w))
-    right_val = term_value(v, right)
+        left_val = _min_term(v, normalize_product(v, [fam_term([0] * i + [2], a)]))[0]
+    right_val = term_value(v, fam_term(_r_exps(i), b))
     next_val = term_value(v, fam_term((0,) * (i + 1) + (1,)))
     return left_val == right_val and left_val < next_val
 

@@ -178,11 +178,9 @@ def _scaled_semigroup(vdef: ValuationDef, params: WildParams, up_to: int) -> Gen
 
 
 def _chain_scale(vdef: ValuationDef, fam: SeqFamily, params: WildParams):
-    if vdef.form == "C5" and fam.kind == "Q":
-        return QuadReal(0, params.a2_value())
-    if vdef.form == "C5":
-        return QuadReal(params.a_value(), 0)
-    return params.a_value()
+    """a scales the rational part of the first coordinate, a2 the sqrt2 part."""
+    part = vdef.families().index(fam)
+    return vdef.embed(fam, (params.a_value(), params.a2_value())[part])
 
 
 def wild_certificate(
@@ -224,6 +222,10 @@ def wild_certificate(
         if fam is None:
             raise UsageError(f"valuation form {vdef.form} lacks a needed family")
         fam.weight(i_hi)  # fail early, naming the missing index
+    chains = [
+        (name, fam, bound_fn, sense, _chain_scale(vdef, fam, params))
+        for name, fam, bound_fn, sense in chains
+    ]
     semigroup = _scaled_semigroup(vdef, params, TILDE_CROSS_CHECK_MAX_INDEX)
     cert = Certificate(
         kind=kind,
@@ -243,18 +245,15 @@ def wild_certificate(
     tilde_memo: Dict[Tuple[str, int], Optional[object]] = {}
     for n in range(n0, N + 1):
         i = block_index(e, n)
-        for chain, fam, bound_fn, sense in chains:
-            scale = _chain_scale(vdef, fam, params)
+        for chain, fam, bound_fn, sense, scale in chains:
             lam = scale * eta(i)
             lam_below_n = lam < n
             member_second = c * fam.second(i)
             bound = bound_fn(n)
             if sense == "lt":
                 ok = lam_below_n and member_second < bound
-                lhs, rhs = member_second, bound
             else:
                 ok = lam_below_n and member_second > bound
-                lhs, rhs = member_second, bound
             tilde_second = None
             if ok and i <= TILDE_CROSS_CHECK_MAX_INDEX:
                 key = (chain, i)
@@ -277,7 +276,7 @@ def wild_certificate(
                     chain=chain,
                     lam=format_scalar(lam),
                     witness=fam.name(i),
-                    lhs=format_scalar(lhs),
+                    lhs=format_scalar(member_second),
                     rhs=str(bound),
                     ok=ok,
                     tilde_second=tilde_second,

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valsem.cli import main
 
@@ -269,3 +272,101 @@ def test_golden_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- fuzz: every argv maps to an exit code, never to a traceback -----------
+
+
+def _mostly(good, bad):
+    """good three times in four, so most argv get past parsing."""
+    return st.sampled_from([True, True, True, False]).flatmap(lambda ok: good if ok else bad)
+
+
+def _opt(flag, values):
+    # "--flag=value", as a value may start with "-"
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+_weights = _mostly(
+    st.lists(st.integers(0, 12), min_size=1, max_size=4).map(lambda ws: ",".join(map(str, ws))),
+    st.sampled_from(["", "a,b", "1,,2", "1.5", "-1", "0,0", "99999999999999999999"]),
+)
+_poly_text = _mostly(
+    st.sampled_from([("x", "y"), ("u", "v"), ("x", "y", "u", "v")]).flatmap(
+        lambda names: st.lists(
+            st.tuples(
+                st.sampled_from([-3, -1, 1, 2]),
+                st.lists(st.integers(0, 4), min_size=4, max_size=4),
+                st.integers(-2, 2),
+            ),
+            min_size=1, max_size=3,
+        ).map(lambda terms: " + ".join(
+            f"{c}*z^{k}*" + "*".join(f"{n}^{e}" for n, e in zip(names, es))
+            for c, es, k in terms
+        ))
+    ),
+    # seven characters cannot spell a power whose expansion is slow
+    st.text(alphabet="xyuvz+-*^()/0123 ", max_size=7),
+)
+_scalar_text = _mostly(
+    st.sampled_from(["1", "2", "3/2", "21/4", "1/2^3", "5 + 3*sqrt2", "sqrt2", "7"]),
+    st.one_of(
+        st.sampled_from(["0", "-1", "1/3", "x", "", "2^-1"]),
+        st.text(alphabet="0123456789/^+-*sqrt ", max_size=8),
+    ),
+)
+_bound = _mostly(
+    st.sampled_from(["neg_linear", "linear", "pow(2)", "neg_pow:3"]),
+    st.sampled_from(["pow(0)", "pow(x)", "mystery", "table:/nonexistent"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["valuate", "expand", "tilde", "count", "example3", "wild"]))
+    argv = [cmd]
+    if cmd == "wild":
+        kind = draw(_mostly(st.sampled_from(["decreasing", "increasing", "both"]), st.just("odd")))
+        argv += ["--kind", kind]
+        if draw(st.booleans()):  # weights of their own, else chosen against the bounds
+            argv += draw(_opt("--sigma", _weights)) + draw(_opt("--tau", _weights))
+        argv += [f"--N={draw(_mostly(st.integers(8, 256), st.integers(-8, 7)))}"]
+        argv += draw(_opt("--f", _bound)) + draw(_opt("--g", _bound))
+        argv += draw(_opt("--a", _scalar_text)) + draw(_opt("--a2", _scalar_text))
+        argv += draw(_opt("--c", _mostly(st.integers(1, 4), st.integers(-2, 0)).map(str)))
+    elif cmd == "example3":
+        for flag, lo, hi in (("--r", 1, 3), ("--y1", 1, 64), ("--y2-max", 1, 256), ("--d", 1, 10**6)):
+            argv += draw(_opt(flag, _mostly(st.integers(lo, hi), st.integers(-2, 0)).map(str)))
+    else:
+        argv += draw(_mostly(
+            st.one_of(
+                _weights.map(lambda w: [f"--sigma={w}"]),
+                _weights.map(lambda w: [f"--tau={w}"]),
+                st.tuples(_weights, _weights).map(lambda w: [f"--sigma={w[0]}", f"--tau={w[1]}"]),
+            ),
+            st.just([]),
+        ))
+        if cmd in ("valuate", "expand"):
+            argv += [f"--poly={draw(_poly_text)}"]
+        elif cmd == "tilde":
+            argv += [f"--lambda={draw(_scalar_text)}"]
+        else:
+            sizes = _mostly(st.integers(0, 24).map(str), st.sampled_from(["-1", "ten", "2.5"]))
+            argv += [f"--y1={draw(sizes)}", f"--y2={draw(sizes)}"]
+    argv += draw(_opt("--format", _mostly(st.sampled_from(["json", "csv", "pretty"]), st.just("xml"))))
+    # a cap keeps every search small; the default cap is a million states
+    argv += [f"--max-states={draw(_mostly(st.integers(1, 4000), st.integers(-1, 0)))}"]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -136,6 +136,24 @@ class TestQuadReal:
         lo, mid, hi = sorted([a, b, c])
         assert lo <= mid <= hi and lo <= hi
 
+    def test_order_matches_difference_sign(self):
+        # parts over different powers of two, and equal values, against
+        # the sign of the difference
+        rng = random.Random(20240818)
+
+        def part():
+            return Dyadic(rng.randint(-999, 999), rng.randint(0, 12))
+
+        for _ in range(2500):
+            a = QuadReal(part(), part())
+            b = rng.choice([QuadReal(part(), part()), QuadReal(a.rat, part()),
+                            QuadReal(a.rat, a.surd)])
+            c = (a - b).sign()
+            assert quad_cmp(a, b) == c and quad_cmp(b, a) == -c
+            assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+            n = rng.randint(-30, 30)
+            assert quad_cmp(a, n) == (a - n).sign()
+
     def test_floor_ceil(self):
         assert SQRT2.floor() == 1 and SQRT2.ceil() == 2
         assert (5 * SQRT2).floor() == 7  # 7.07...

@@ -202,17 +202,31 @@ class TestValuation:
 class TestNormalizeProduct:
     def test_matches_expand(self):
         rng = random.Random(41)
-        v = ValuationDef.p3(SIGMA_LONG)
-        for _ in range(50):
-            terms = []
-            for _ in range(rng.randint(1, 3)):
-                alpha = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
-                coeff = LaurentZ.term(rng.randint(1, 5), rng.randint(-2, 2))
-                terms.append(ExpTerm(coeff, alpha=alpha))
-            f = reconstruct(v, terms)
-            if f.is_zero():
-                continue
-            assert normalize_product(v, terms) == expand(v, f)
+
+        def exps():
+            # one exponent >= 2 above index 0, so every slot needs the identity
+            out = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
+            out[rng.randrange(1, len(out))] = rng.randint(2, 3)
+            return tuple(out)
+
+        for v in (
+            ValuationDef.p3(SIGMA_LONG),
+            ValuationDef.q3([1, 3, 5, 2]),
+            ValuationDef.combined([2, 5, 3, 7], [1, 3, 5, 2]),
+        ):
+            for _ in range(50):
+                terms = []
+                for _ in range(rng.randint(1, 3)):
+                    coeff = LaurentZ.term(rng.randint(1, 5), rng.randint(-2, 2))
+                    terms.append(ExpTerm(
+                        coeff,
+                        alpha=exps() if v.p is not None else (),
+                        beta=exps() if v.q is not None else (),
+                    ))
+                f = reconstruct(v, terms)
+                if f.is_zero():
+                    continue
+                assert normalize_product(v, terms) == expand(v, f)
 
     def test_q_substitution(self):
         v = ValuationDef.q3([3, 5])
