@@ -30,7 +30,7 @@ from .genseq import (
 from .gensemi import DEFAULT_STATE_CAP, Box, GenSemigroup, box_bound_check
 from .poly import MPoly, format_poly, parse_poly
 from .semigroups import contradiction_table, stair_count, stair_members, theorem1_bound
-from .wild import WildParams, make_wild_valuation, parse_bound, wild_certificate
+from .wild import FORMS, WildParams, make_wild_valuation, parse_bound, wild_certificate
 
 _SQRT2_FLOAT = 1.4142135623730951
 
@@ -321,12 +321,10 @@ def cmd_wild(args) -> int:
     g = parse_bound(args.g) if args.g else parse_bound("linear")
     if args.sigma or args.tau:
         vdef = _vdef_from_args(args)
-        if args.kind == "decreasing" and vdef.form != "P3":
-            raise UsageError("decreasing kind expects --sigma weights only")
-        if args.kind == "increasing" and vdef.form != "Q3":
-            raise UsageError("increasing kind expects --tau weights only")
-        if args.kind == "both" and vdef.form != "C5":
-            raise UsageError("the both kind expects --sigma and --tau weights")
+        form, fams = FORMS[args.kind]
+        if vdef.form != form:
+            flags = " and ".join({"P": "--sigma", "Q": "--tau"}[fk] for fk in fams)
+            raise UsageError(f"the {args.kind} kind expects {flags} weights only")
     else:
         vdef = make_wild_valuation(args.kind, f=f, g=g, N=args.N, params=params)
     cert = wild_certificate(
@@ -448,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wild", help="wild tilde certificate")
     _add_common(sp)
-    sp.add_argument("--kind", choices=("decreasing", "increasing", "both"),
-                    required=True)
+    sp.add_argument("--kind", choices=tuple(FORMS), required=True)
     sp.add_argument("--f", help="bound descriptor for the decreasing chain")
     sp.add_argument("--g", help="bound descriptor for the increasing chain")
     sp.add_argument("--N", type=int, default=4096)

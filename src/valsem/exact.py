@@ -15,11 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from sys import hash_info
 from typing import Iterable, Union
 
 from .errors import ParseError, UsageError
 
 ScalarLike = Union[int, "Dyadic", "QuadReal", Fraction]
+
+_HASH_BITS = hash_info.modulus.bit_length()
 
 
 class Dyadic:
@@ -123,7 +126,11 @@ class Dyadic:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        return hash(self.as_fraction())
+        # hash(Fraction(num, 2^k)) without building the Fraction: the hash
+        # modulus is the Mersenne prime 2^b - 1, so 2^-k = 2^(-k mod b)
+        # (hash() itself turns a -1 into -2, as int and Fraction do)
+        h = hash(hash(abs(self.num)) << (-self.k % _HASH_BITS))
+        return h if self.num >= 0 else -h
 
     def __bool__(self):
         return self.num != 0
@@ -261,7 +268,8 @@ class QuadReal:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        return hash((self.rat, self.surd))
+        # a rational value hashes as the equal Dyadic, int or Fraction
+        return hash(self.rat) if not self.surd else hash((self.rat, self.surd))
 
     def __bool__(self):
         return bool(self.rat) or bool(self.surd)

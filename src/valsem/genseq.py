@@ -235,12 +235,13 @@ class ValuationDef:
         e, s = fam.value(i)
         return self.group.vec(self.embed(fam, e), s)
 
-    def generators(self) -> List[Tuple[str, LexVec]]:
+    def generators(self, up_to: Optional[int] = None) -> List[Tuple[str, LexVec]]:
         """(name, value) of z, of each family root and of every family
-        member whose weight data is defined."""
+        member whose weight data is defined, up to index up_to if given."""
         out = [("z", self.z_value())]
         for fam in self.families():
-            for i in range(0, fam.max_index + 1):
+            last = fam.max_index if up_to is None else min(up_to, fam.max_index)
+            for i in range(0, last + 1):
                 out.append((fam.name(i), self.gen_value(fam, i)))
         return out
 

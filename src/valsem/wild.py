@@ -3,30 +3,43 @@
 For a valuation built from weights chosen against a decreasing bound f
 (or an increasing bound g), the certificate verifies, for every integer
 n in a range, the exact inequality chain that forces the tilde function
-below f(n) (or above g(n)) at a witness lambda below n.  The (a, c)
-parameters describe an equivalent valuation with scaled generator
-values; the second coordinate of x (and u) is forced to zero by the
-recursion identities, which the certificate records in its header.
+below f(n) (or above g(n)) at a witness lambda below n.
+
+The kind table ``FORMS`` names, for each kind, the valuation form it is
+certified on; the form's families are its chains, a P chain held below
+f and a Q chain above g.  The parameters (a, a2, c) describe the scaling
+map omega onto an equivalent valuation,
+
+    omega(first, second) = (a*part_0 + a2*part_1*sqrt2, c*second),
+
+where a one-part first coordinate (P3, Q3) is scaled by a.  A row's
+lambda and left-hand side are the two coordinates of omega(nu(M_i)), and
+the tilde cross-check runs over the image under omega of the
+valuation's generators.  The second coordinate of x (and u) is forced
+to zero by the recursion identities, which the certificate records in
+its header.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .errors import UsageError, VerificationError
-from .exact import Dyadic, QuadReal, format_scalar
-from .genseq import SeqFamily, ValuationDef, choose_sigma, choose_tau, eta
+from .exact import SQRT2, Dyadic, LexVec, QuadReal, format_scalar
+from .genseq import SeqFamily, ValuationDef, choose_sigma, choose_tau
 from .gensemi import DEFAULT_STATE_CAP, GenSemigroup
 
-KINDS = ("decreasing", "increasing", "both")
+# kind -> (valuation form, its families in family order)
+FORMS = {"decreasing": ("P3", "P"), "increasing": ("Q3", "Q"), "both": ("C5", "PQ")}
 TILDE_CROSS_CHECK_MAX_INDEX = 4
 
 
 @dataclass(frozen=True)
 class WildParams:
-    """Parameters (a, c) of an equivalent valuation; a2 is used only by
-    the five-variable kind, where the u-chain witness scale is a2*sqrt2."""
+    """Parameters (a, a2, c) of the scaling map omega; a2 scales the sqrt2
+    part of a five-variable first coordinate and defaults to a."""
 
     a: object = 1
     c: int = 1
@@ -47,11 +60,20 @@ class WildParams:
     def a2_value(self) -> Dyadic:
         return _as_dyadic(self.a2 if self.a2 is not None else self.a)
 
+    def omega_first(self, x):
+        """The first coordinate of omega: a*part_0 + a2*part_1*sqrt2."""
+        if isinstance(x, QuadReal):
+            return QuadReal(self.a_value() * x.rat, self.a2_value() * x.surd)
+        return self.a_value() * x
+
+    def omega(self, v: LexVec) -> LexVec:
+        return v.spec.vec(self.omega_first(v.coords[0]), self.c * v.coords[1])
+
 
 def _as_dyadic(x) -> Dyadic:
     d = Dyadic._coerce(x)
     if d is NotImplemented:
-        raise UsageError(f"{x!r} is not a dyadic scalar")
+        raise UsageError(f"{format_scalar(x)} is not a dyadic scalar")
     return d
 
 
@@ -110,16 +132,37 @@ class Certificate:
         }
 
 
-def required_index(e: int, N: int) -> int:
-    """Largest i with e * 2^(i+2) <= N."""
-    if N < e << 3:
-        raise UsageError("certificate range ends below n0")
-    return (N // e).bit_length() - 3
-
-
 def block_index(e: int, n: int) -> int:
     """The i with e * 2^(i+2) <= n < e * 2^(i+3)."""
     return (n // e).bit_length() - 3
+
+
+def _chains(kind: str, f, g):
+    """The kind's form and, per family, (family kind, bound, sense, weight
+    chooser): a P chain is held below f, a Q chain above g."""
+    if kind not in FORMS:
+        raise UsageError(f"unknown wildness kind {kind!r}")
+    form, fams = FORMS[kind]
+    chains = []
+    for fk in fams:
+        name, bound, sense, choose = (
+            ("f", f, operator.lt, choose_sigma) if fk == "P" else ("g", g, operator.gt, choose_tau)
+        )
+        if bound is None:
+            raise UsageError(f"the {kind} kind needs the bound {name}")
+        chains.append((fk, bound, sense, choose))
+    return form, chains
+
+
+def _block_scale(chains, params: WildParams, N: int) -> int:
+    """The ceiling e of the largest omega-scaled root first coordinate (1
+    for the first family, sqrt2 for a second), once the certificate range
+    [n0, N], n0 = e * 2^(e+2), is checked to be nonempty."""
+    e = max(params.omega_first(unit).ceil() for unit in (1, SQRT2)[: len(chains)])
+    n0 = e << (e + 2)
+    if N < n0:
+        raise UsageError(f"certificate range [{n0}, {N}] is empty")
+    return e
 
 
 def make_wild_valuation(
@@ -129,58 +172,19 @@ def make_wild_valuation(
     N: int = 4096,
     params: WildParams = WildParams(),
 ) -> ValuationDef:
-    """Choose weights against f/g out to the index the range N needs,
-    and build the matching valuation form."""
-    if kind not in KINDS:
-        raise UsageError(f"unknown wildness kind {kind!r}")
-    e, _ = _scales(kind, params)
-    i_max = max(1, required_index(e, N))
-    if kind == "decreasing":
-        if f is None:
-            raise UsageError("decreasing kind needs the bound f")
-        return ValuationDef("P3", p=SeqFamily("P", choose_sigma(f, i_max)))
-    if kind == "increasing":
-        if g is None:
-            raise UsageError("increasing kind needs the bound g")
-        return ValuationDef("Q3", q=SeqFamily("Q", choose_tau(g, i_max)))
-    if f is None or g is None:
-        raise UsageError("the five-variable kind needs both bounds f and g")
-    return ValuationDef(
-        "C5",
-        p=SeqFamily("P", choose_sigma(f, i_max)),
-        q=SeqFamily("Q", choose_tau(g, i_max)),
-    )
+    """Choose weights against f/g out to the block index of N, and build
+    the kind's valuation form."""
+    form, chains = _chains(kind, f, g)
+    i_hi = block_index(_block_scale(chains, params, N), N)
+    fams = {fk.lower(): SeqFamily(fk, choose(bound, i_hi)) for fk, bound, _, choose in chains}
+    return ValuationDef(form, **fams)
 
 
-def _scales(kind: str, params: WildParams):
-    """(e, n0): block scale and the first certified n."""
-    a1 = params.a_value()
-    if kind == "decreasing" or kind == "increasing":
-        e = a1.ceil()
-        return e, e << (e + 2)
-    lam2_scale = QuadReal(0, params.a2_value())
-    e = max(a1.ceil(), lam2_scale.ceil())
-    return e, e << (e + 2)
-
-
-def _scaled_semigroup(vdef: ValuationDef, params: WildParams, up_to: int) -> GenSemigroup:
-    """Generators of the equivalent valuation omega: omega(z) = (0, c),
-    omega(root) = (a, 0), and the scaled members of every family up to
-    index up_to."""
-    gens = [vdef.group.vec(0, params.c)]
-    for fam in vdef.families():
-        scale = _chain_scale(vdef, fam, params)
-        for i in range(0, min(up_to, fam.max_index) + 1):
-            first = scale * eta(i)
-            second = params.c * fam.second(i)
-            gens.append(vdef.group.vec(first, second))
-    return GenSemigroup(vdef.group, gens)
-
-
-def _chain_scale(vdef: ValuationDef, fam: SeqFamily, params: WildParams):
-    """a scales the rational part of the first coordinate, a2 the sqrt2 part."""
-    part = vdef.families().index(fam)
-    return vdef.embed(fam, (params.a_value(), params.a2_value())[part])
+def _scaled_semigroup(vdef: ValuationDef, params: WildParams) -> GenSemigroup:
+    """The image under omega of z, the roots and the members up to the
+    cross-check index."""
+    gens = vdef.generators(up_to=TILDE_CROSS_CHECK_MAX_INDEX)
+    return GenSemigroup(vdef.group, [params.omega(v) for _, v in gens])
 
 
 def wild_certificate(
@@ -194,46 +198,29 @@ def wild_certificate(
 ) -> Certificate:
     """Verify the wildness inequality chain for every n in [n0, N].
 
-    For each n the certified block index i satisfies
-    e*2^(i+2) <= n < e*2^(i+3); the witness value lambda = scale * eta_i
-    is checked to lie below n, and the scaled member second coordinate
-    is checked against the bound at n.  Where the knapsack is small the
-    tilde value of lambda over the scaled generators is computed and
-    checked against the bound directly.
+    Rows come block by block, e*2^(i+2) <= n < e*2^(i+3), in n order and
+    P before Q.  Per block and chain, (lambda, lhs) = omega(nu(M_i)) is
+    computed once; each row checks lambda < n and lhs against the bound
+    at n, exactly.  Where the knapsack is small, the tilde value of lambda
+    over the scaled generators is computed once per block, at the first
+    row that passes, and checked against the bound directly.
     """
-    if kind not in KINDS:
-        raise UsageError(f"unknown wildness kind {kind!r}")
-    if kind == "decreasing" and f is None:
-        raise UsageError("decreasing kind needs the bound f")
-    if kind == "increasing" and g is None:
-        raise UsageError("increasing kind needs the bound g")
-    if kind == "both" and (f is None or g is None):
-        raise UsageError("the five-variable kind needs both bounds")
-    e, n0 = _scales(kind, params)
-    if N < n0:
-        raise UsageError(f"certificate range [{n0}, {N}] is empty")
+    _, chains = _chains(kind, f, g)
+    e = _block_scale(chains, params, N)
     i_hi = block_index(e, N)
-    chains = []
-    if kind in ("decreasing", "both"):
-        chains.append(("P", vdef.p, f, "lt"))
-    if kind in ("increasing", "both"):
-        chains.append(("Q", vdef.q, g, "gt"))
-    for _, fam, _, _ in chains:
+    chains = [(getattr(vdef, fk.lower()), bound, sense) for fk, bound, sense, _ in chains]
+    for fam, _, _ in chains:
         if fam is None:
             raise UsageError(f"valuation form {vdef.form} lacks a needed family")
         fam.weight(i_hi)  # fail early, naming the missing index
-    chains = [
-        (name, fam, bound_fn, sense, _chain_scale(vdef, fam, params))
-        for name, fam, bound_fn, sense in chains
-    ]
-    semigroup = _scaled_semigroup(vdef, params, TILDE_CROSS_CHECK_MAX_INDEX)
+    semigroup = _scaled_semigroup(vdef, params)
     cert = Certificate(
         kind=kind,
         valuation=vdef.descriptor(),
         params={
             "a": format_scalar(params.a_value()),
             "c": params.c,
-            **({"a2": format_scalar(params.a2_value())} if kind == "both" else {}),
+            **({"a2": format_scalar(params.a2_value())} if len(chains) > 1 else {}),
         },
         header=(
             "second coordinates of the root values are forced to zero by the "
@@ -241,47 +228,36 @@ def wild_certificate(
             "parameterization directly"
         ),
     )
-    c = params.c
-    tilde_memo: Dict[Tuple[str, int], Optional[object]] = {}
-    for n in range(n0, N + 1):
-        i = block_index(e, n)
-        for chain, fam, bound_fn, sense, scale in chains:
-            lam = scale * eta(i)
-            lam_below_n = lam < n
-            member_second = c * fam.second(i)
+
+    def block_rows(fam, bound_fn, sense, i, ns):
+        # lazy, so the chains of a block interleave and each tilde search
+        # runs at the row that first needs it
+        lam, lhs = params.omega(vdef.gen_value(fam, i)).coords
+        lam_text, lhs_text, witness = format_scalar(lam), format_scalar(lhs), fam.name(i)
+        lam_floor = lam.floor()  # lam < n exactly when floor(lam) < n, for integer n
+        t2 = t2_text = None
+        searched = False
+        for n in ns:
             bound = bound_fn(n)
-            if sense == "lt":
-                ok = lam_below_n and member_second < bound
-            else:
-                ok = lam_below_n and member_second > bound
+            ok = lam_floor < n and sense(lhs, bound)
             tilde_second = None
             if ok and i <= TILDE_CROSS_CHECK_MAX_INDEX:
-                key = (chain, i)
-                if key not in tilde_memo:
+                if not searched:
                     entry = semigroup.tilde(lam, cap=tilde_cap)
-                    tilde_memo[key] = None if entry is None else entry.tilde.coords[1]
-                t2 = tilde_memo[key]
-                if t2 is None:
-                    ok = False
-                else:
-                    tilde_second = format_scalar(t2)
-                    if sense == "lt":
-                        ok = t2 <= member_second and t2 < bound
-                    else:
-                        ok = t2 > bound
-            cert.rows.append(
-                CertRow(
-                    n=n,
-                    i=i,
-                    chain=chain,
-                    lam=format_scalar(lam),
-                    witness=fam.name(i),
-                    lhs=format_scalar(member_second),
-                    rhs=str(bound),
-                    ok=ok,
-                    tilde_second=tilde_second,
-                )
-            )
+                    if entry is not None:
+                        t2 = entry.tilde.coords[1]
+                        t2_text = format_scalar(t2)
+                    searched = True
+                tilde_second = t2_text
+                # below f: tilde(lambda) <= lhs < f(n); above g: tilde(lambda) > g(n)
+                ok = t2 is not None and sense(t2, bound) and (sense is operator.gt or t2 <= lhs)
+            yield CertRow(n, i, fam.kind, lam_text, witness, lhs_text, str(bound), ok,
+                          tilde_second)
+
+    for i in range(e, i_hi + 1):
+        ns = range(e << (i + 2), min(N + 1, e << (i + 3)))
+        for rows in zip(*(block_rows(fam, bound, sense, i, ns) for fam, bound, sense in chains)):
+            cert.rows.extend(rows)
     return cert
 
 

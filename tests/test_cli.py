@@ -239,6 +239,16 @@ class TestWild:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,text", [("--a", "5 + 3*sqrt2"), ("--a2", "2*sqrt2")])
+    def test_non_dyadic_scale_named_as_written(self, capsys, flag, text):
+        code, _, err = run(capsys, "wild", "--kind", "both", flag, text)
+        assert code == 2 and text in err and "QuadReal(" not in err
+
+    def test_range_below_n0(self, capsys):
+        for argv, n0 in ((["--N", "7"], 8), (["--a", "2", "--N", "20"], 32)):
+            code, _, err = run(capsys, "wild", "--kind", "decreasing", *argv)
+            assert code == 2 and f"certificate range [{n0}, " in err and "is empty" in err
+
 
 class TestSelftest:
     def test_passes(self, capsys):
@@ -264,6 +274,12 @@ GOLDEN = [
      "9f1165206b33ec3a55cca27e4db99062da61874238f51c0ebf8c25b956fbca5d"),
     (["wild", "--kind", "both", "--N", "256", "--format", "csv"],
      "0cd79daec6db68cffa400e70431792e690caabed43cdc728bd37487dd55a43dc"),
+    (["wild", "--kind", "decreasing", "--N", "1024", "--format", "json",
+      "--f", "neg_pow(2)", "--a", "3/2", "--c", "2"],
+     "9713c8c5a93a3fae182110b6653e238dbc91fa0e2700341639c08172196e0ba0"),
+    (["wild", "--kind", "increasing", "--N", "1024", "--format", "csv",
+      "--g", "pow:3", "--c", "3"],
+     "a7a50d32245bbbfc4d21312f182e57b259494929d4a976f70354e6461dfdc2a2"),
 ]
 
 

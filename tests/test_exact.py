@@ -98,6 +98,29 @@ class TestDyadic:
         assert Dyadic(3) < 4 and Dyadic(3) > 2
 
 
+class TestHash:
+    @given(st.integers(-(2**130), 2**130), st.integers(0, 200))
+    @settings(max_examples=500)
+    def test_dyadic_hash_is_fraction_hash(self, n, k):
+        assert hash(Dyadic(n, k)) == hash(Fraction(n, 2**k))
+
+    @pytest.mark.parametrize(
+        "n,k", [(-1, 0), (1, 0), (-1, 1), (3, 60), (-5, 61), (7, 62), (-9, 200)]
+    )
+    def test_equal_values_hash_equal(self, n, k):
+        # -1 hashes as -2, and 61 is the exponent of the 64-bit hash modulus
+        values = [Fraction(n, 2**k), Dyadic(n, k), QuadReal(Dyadic(n, k))]
+        if k == 0:
+            values.append(n)
+        assert len({hash(v) for v in values}) == 1
+        assert len(set(values)) == 1
+
+    def test_one_set_element_per_value(self):
+        assert len({3, Fraction(3), Dyadic(3), QuadReal(3)}) == 1
+        assert len({Fraction(3, 4), Dyadic(3, 2), QuadReal(Dyadic(3, 2))}) == 1
+        assert len({QuadReal(3), QuadReal(3, 1)}) == 2
+
+
 class TestQuadReal:
     def test_sign_oracle_bulk(self):
         rng = random.Random(20240817)

@@ -7,6 +7,18 @@ import valsem
 
 SRC = Path(valsem.__file__).parent
 
+# the decimal renderings behind --approx, the only place floats may appear
+FLOAT_ALLOWED = {("cli.py", "_approx"), ("cli.py", "_approx_vec"), ("cli.py", "_SQRT2_FLOAT")}
+
+
+def _top_level_name(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+        return target.id if isinstance(target, ast.Name) else None
+    return None
+
 
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so a check written as one vanishes;
@@ -17,4 +29,20 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_has_no_floats():
+    # every value is exact; a float literal or a call of float() outside
+    # the --approx renderings would break that promise
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if (path.name, _top_level_name(stmt)) in FLOAT_ALLOWED:
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                    found.append(f"{path.name}:{node.lineno}: float literal")
+                elif isinstance(node, ast.Name) and node.id == "float":
+                    found.append(f"{path.name}:{node.lineno}: name float")
     assert found == []

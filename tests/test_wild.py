@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 
 import pytest
 
@@ -6,16 +7,16 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
-from valsem.errors import UsageError, VerificationError
-from valsem.exact import Dyadic
-from valsem.genseq import SeqFamily, ValuationDef, gamma
+from valsem.errors import CapExceeded, UsageError, VerificationError
+from valsem.exact import Dyadic, QuadReal, format_scalar
+from valsem.gensemi import DEFAULT_STATE_CAP, GenSemigroup
+from valsem.genseq import SeqFamily, ValuationDef, eta, gamma
 from valsem.wild import (
-    Certificate,
+    CertRow,
     WildParams,
     block_index,
     make_wild_valuation,
     parse_bound,
-    required_index,
     require_valid,
     wild_certificate,
 )
@@ -35,6 +36,68 @@ def build(kind, params, N=512):
     return wild_certificate(kind, v, params, f=NEG_SQ, g=POS_SQ, N=N)
 
 
+def reference_rows(kind, vdef, params, f=None, g=None, N=4096, tilde_cap=DEFAULT_STATE_CAP):
+    """The certificate rows as a per-row loop: every row recomputes its
+    block's witness value, member second coordinate and strings, and the
+    scaled generators are listed by hand rather than mapped from
+    ValuationDef.generators.  The tilde search runs once per (chain,
+    block), at the first row that passes the member check."""
+    a1, a2, c = params.a_value(), params.a2_value(), params.c
+    e = a1.ceil() if kind != "both" else max(a1.ceil(), QuadReal(0, a2).ceil())
+    fams = vdef.families()
+
+    def scale(fam):  # a on the rational part, a2 on the sqrt2 part
+        return vdef.embed(fam, (a1, a2)[fams.index(fam)])
+
+    gens = [vdef.group.vec(0, c)]
+    for fam in fams:
+        for i in range(min(4, fam.max_index) + 1):
+            gens.append(vdef.group.vec(scale(fam) * eta(i), c * fam.second(i)))
+    semigroup = GenSemigroup(vdef.group, gens)
+    chains = []
+    if kind in ("decreasing", "both"):
+        chains.append(("P", vdef.p, f, "lt"))
+    if kind in ("increasing", "both"):
+        chains.append(("Q", vdef.q, g, "gt"))
+    memo, rows = {}, []
+    for n in range(e << (e + 2), N + 1):
+        i = (n // e).bit_length() - 3
+        for chain, fam, bound_fn, sense in chains:
+            lam = scale(fam) * eta(i)
+            member_second = c * fam.second(i)
+            bound = bound_fn(n)
+            if sense == "lt":
+                ok = lam < n and member_second < bound
+            else:
+                ok = lam < n and member_second > bound
+            tilde_second = None
+            if ok and i <= 4:
+                if (chain, i) not in memo:
+                    entry = semigroup.tilde(lam, cap=tilde_cap)
+                    memo[chain, i] = None if entry is None else entry.tilde.coords[1]
+                t2 = memo[chain, i]
+                if t2 is None:
+                    ok = False
+                else:
+                    tilde_second = format_scalar(t2)
+                    if sense == "lt":
+                        ok = t2 <= member_second and t2 < bound
+                    else:
+                        ok = t2 > bound
+            rows.append(CertRow(n, i, chain, format_scalar(lam), fam.name(i),
+                                format_scalar(member_second), str(bound), ok, tilde_second))
+    return rows
+
+
+def crushed(kind, N=512):
+    """The kind's valuation with its weight at index 2 crushed to 1, so
+    the chain misses the bound from block 2 on."""
+    v = make_wild_valuation(kind, f=NEG_SQ, g=POS_SQ, N=N)
+    fam = v.families()[0]
+    bad = SeqFamily(fam.kind, {i: (1 if i == 2 else w) for i, w in fam.weights.items()})
+    return ValuationDef(v.form, **{fam.kind.lower(): bad})
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -51,15 +114,11 @@ class TestParams:
 
 
 class TestIndices:
-    def test_required_index(self):
-        # largest i with e * 2^(i+2) <= N
-        assert required_index(1, 8) == 1
-        assert required_index(1, 4096) == 10
-        assert required_index(2, 4096) == 9
-        with pytest.raises(UsageError):
-            required_index(1, 7)
-
     def test_block_index_brackets_n(self):
+        # the block of N is the last index the weights must reach
+        assert block_index(1, 8) == 1
+        assert block_index(1, 4096) == 10
+        assert block_index(2, 4096) == 9
         for e in (1, 2, 3):
             for n in range(e << 3, 600):
                 i = block_index(e, n)
@@ -89,11 +148,9 @@ class TestCertificates:
 
     def test_negative_control(self):
         params = WildParams()
-        v = make_wild_valuation("decreasing", f=NEG_SQ, N=512, params=params)
         # crush one weight down to 1: gamma stops decreasing fast enough
-        bad = SeqFamily("P", {i: (1 if i == 2 else v.p.weight(i)) for i in range(1, v.p.max_index + 1)})
-        vbad = ValuationDef("P3", p=bad)
-        assert gamma(bad, 2) >= NEG_SQ(2 << 5)
+        vbad = crushed("decreasing")
+        assert gamma(vbad.p, 2) >= NEG_SQ(2 << 5)
         cert = wild_certificate("decreasing", vbad, params, f=NEG_SQ, N=512)
         assert not cert.valid
         row = cert.first_bad()
@@ -102,17 +159,56 @@ class TestCertificates:
             require_valid(cert)
 
     def test_increasing_negative_control(self):
-        params = WildParams()
-        v = make_wild_valuation("increasing", g=POS_SQ, N=512, params=params)
-        bad = SeqFamily("Q", {i: (1 if i == 2 else v.q.weight(i)) for i in range(1, v.q.max_index + 1)})
-        vbad = ValuationDef("Q3", q=bad)
-        cert = wild_certificate("increasing", vbad, params, g=POS_SQ, N=512)
+        cert = wild_certificate("increasing", crushed("increasing"), WildParams(), g=POS_SQ, N=512)
         assert not cert.valid
+
+    @pytest.mark.parametrize("kind", ["decreasing", "increasing", "both"])
+    @pytest.mark.parametrize("params", PARAM_GRID)
+    def test_rows_match_reference(self, kind, params):
+        v = make_wild_valuation(kind, f=NEG_SQ, g=POS_SQ, N=512, params=params)
+        cert = wild_certificate(kind, v, params, f=NEG_SQ, g=POS_SQ, N=512)
+        ref = reference_rows(kind, v, params, f=NEG_SQ, g=POS_SQ, N=512)
+        assert [astuple(r) for r in cert.rows] == [astuple(r) for r in ref]
+
+    @pytest.mark.parametrize("params", [WildParams(a=Dyadic(5, 2), a2=Dyadic(3, 1), c=2),
+                                        WildParams(a=2, a2=Dyadic(1, 1))])
+    def test_both_rows_match_reference_with_a2(self, params):
+        # a and a2 differ, so each scales its own part of the first coordinate
+        v = make_wild_valuation("both", f=NEG_SQ, g=POS_SQ, N=1024, params=params)
+        cert = wild_certificate("both", v, params, f=NEG_SQ, g=POS_SQ, N=1024)
+        ref = reference_rows("both", v, params, f=NEG_SQ, g=POS_SQ, N=1024)
+        assert [astuple(r) for r in cert.rows] == [astuple(r) for r in ref]
+
+    @pytest.mark.parametrize("kind", ["decreasing", "increasing"])
+    def test_negative_control_rows_match_reference(self, kind):
+        vbad, params = crushed(kind), WildParams()
+        cert = wild_certificate(kind, vbad, params, f=NEG_SQ, g=POS_SQ, N=512)
+        ref = reference_rows(kind, vbad, params, f=NEG_SQ, g=POS_SQ, N=512)
+        assert [astuple(r) for r in cert.rows] == [astuple(r) for r in ref]
+        assert not cert.valid
+
+    def test_tilde_cap_trips_as_in_reference(self):
+        v, params = make_wild_valuation("both", f=NEG_SQ, g=POS_SQ, N=256), WildParams()
+        for cap in (1, 3):
+            with pytest.raises(CapExceeded) as new:
+                wild_certificate("both", v, params, f=NEG_SQ, g=POS_SQ, N=256, tilde_cap=cap)
+            with pytest.raises(CapExceeded) as ref:
+                reference_rows("both", v, params, f=NEG_SQ, g=POS_SQ, N=256, tilde_cap=cap)
+            assert str(new.value) == str(ref.value)
 
     def test_range_validation(self):
         v = make_wild_valuation("decreasing", f=NEG_SQ, N=512)
         with pytest.raises(UsageError):
             wild_certificate("decreasing", v, WildParams(), f=NEG_SQ, N=4)
+        # the range [n0, N] is checked in both places: n0 = 8, then 32 for a = 2
+        for N, params in ((7, WildParams()), (20, WildParams(a=2)), (31, WildParams(a=2))):
+            with pytest.raises(UsageError, match=r"range \[\d+, \d+\] is empty"):
+                make_wild_valuation("decreasing", f=NEG_SQ, N=N, params=params)
+            with pytest.raises(UsageError, match=r"range \[\d+, \d+\] is empty"):
+                wild_certificate("decreasing", v, params, f=NEG_SQ, N=N)
+        # at N = n0 the weights reach the first block, i = e
+        v = make_wild_valuation("decreasing", f=NEG_SQ, N=32, params=WildParams(a=2))
+        assert v.p.max_index == 2
         with pytest.raises(UsageError):
             wild_certificate("sideways", v, WildParams(), f=NEG_SQ)
         with pytest.raises(UsageError):
