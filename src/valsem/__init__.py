@@ -8,82 +8,36 @@ emits machine-checked certificates of wild tilde behavior.
 """
 
 from .errors import CapExceeded, ParseError, UsageError, ValsemError, VerificationError
-from .exact import (
-    DYADIC2,
-    QUAD2,
-    SQRT2,
-    Dyadic,
-    GroupSpec,
-    LexVec,
-    QuadReal,
-    format_lexvec,
-    format_scalar,
-    in_interval,
-    lex_cmp,
-    parse_lexvec,
-    parse_scalar,
-    project,
-    quad_cmp,
-)
+from .exact import Dyadic, LexVec, QuadReal, format_lexvec, format_scalar, parse_scalar
 from .genseq import (
-    ExpTerm,
     SeqFamily,
     ValuationDef,
     check_key_identity,
-    choose_sigma,
-    choose_tau,
-    delta,
     eta,
     eta_closed,
     expand,
-    gamma,
-    normalize_product,
     reconstruct,
     term_value,
     valuate,
 )
-from .gensemi import (
-    Box,
-    BoxBoundReport,
-    GenSemigroup,
-    TildeEntry,
-    box_bound_check,
-    box_semigroup,
-)
+from .gensemi import Box, GenSemigroup, box_bound_check, box_semigroup
 from .poly import LaurentZ, MPoly, div_in_var, format_poly, parse_poly
-from .semigroups import (
-    contradiction_table,
-    hs_length,
-    stair_count,
-    stair_count_upto,
-    stair_member,
-    stair_members,
-    t_box_count,
-    theorem1_bound,
-)
-from .wild import Certificate, WildParams, make_wild_valuation, parse_bound, wild_certificate
+from .semigroups import contradiction_table, stair_count, stair_members, t_box_count, theorem1_bound
+from .wild import WildParams, make_wild_valuation, parse_bound, wild_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "BoxBoundReport",
     "CapExceeded",
-    "Certificate",
-    "DYADIC2",
     "Dyadic",
-    "ExpTerm",
     "GenSemigroup",
-    "GroupSpec",
     "LaurentZ",
     "LexVec",
     "MPoly",
     "ParseError",
-    "QUAD2",
     "QuadReal",
-    "SQRT2",
     "SeqFamily",
-    "TildeEntry",
     "UsageError",
     "ValsemError",
     "ValuationDef",
@@ -92,10 +46,7 @@ __all__ = [
     "box_bound_check",
     "box_semigroup",
     "check_key_identity",
-    "choose_sigma",
-    "choose_tau",
     "contradiction_table",
-    "delta",
     "div_in_var",
     "eta",
     "eta_closed",
@@ -103,22 +54,12 @@ __all__ = [
     "format_lexvec",
     "format_poly",
     "format_scalar",
-    "gamma",
-    "hs_length",
-    "in_interval",
-    "lex_cmp",
     "make_wild_valuation",
-    "normalize_product",
     "parse_bound",
-    "parse_lexvec",
     "parse_poly",
     "parse_scalar",
-    "project",
-    "quad_cmp",
     "reconstruct",
     "stair_count",
-    "stair_count_upto",
-    "stair_member",
     "stair_members",
     "t_box_count",
     "term_value",

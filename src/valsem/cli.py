@@ -27,9 +27,9 @@ from .genseq import (
     expand,
     valuate,
 )
-from .gensemi import DEFAULT_STATE_CAP, Box, GenSemigroup, box_bound_check
+from .gensemi import DEFAULT_STATE_CAP, GenSemigroup, box_bound_check
 from .poly import MPoly, format_poly, parse_poly
-from .semigroups import contradiction_table, stair_count, stair_members, theorem1_bound
+from .semigroups import contradiction_table, stair_count, stair_members
 from .wild import FORMS, WildParams, make_wild_valuation, parse_bound, wild_certificate
 
 _SQRT2_FLOAT = 1.4142135623730951
@@ -49,14 +49,10 @@ def _default_cap() -> int:
 
 
 def _approx(x) -> float:
-    if isinstance(x, int):
-        return float(x)
     if isinstance(x, Dyadic):
         return x.num / (1 << x.k)
     if isinstance(x, QuadReal):
         return _approx(x.rat) + _approx(x.surd) * _SQRT2_FLOAT
-    if isinstance(x, Fraction):
-        return x.numerator / x.denominator
     raise UsageError(f"cannot approximate {x!r}")
 
 
@@ -287,6 +283,8 @@ def _y2_grid(y2_max: int):
 
 
 def cmd_example3(args) -> int:
+    if args.y2_max < 1:
+        raise UsageError("--y2-max must be at least 1")
     rows = contradiction_table(args.r, args.y1, _y2_grid(args.y2_max), args.d)
     crossed = any(r.crossed for r in rows)
     header = ["y2", "lower_bound", "exact_count", "claimed_bound", "crossed"]
@@ -399,6 +397,9 @@ def _add_common(sp, with_poly=False, with_weights=True):
         sp.add_argument("--poly-file", help="file containing polynomial text")
     sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     sp.add_argument("--out", help="write output to FILE instead of stdout")
+
+
+def _add_cap(sp):
     sp.add_argument("--max-states", type=int, default=None,
                     help="enumeration state cap (default from VALSEM_MAX_STATES)")
 
@@ -426,12 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tilde", help="tilde value of a first coordinate")
     _add_common(sp)
+    _add_cap(sp)
     _add_approx(sp)
     sp.add_argument("--lambda", required=True, help="first-coordinate value")
     sp.set_defaults(func=cmd_tilde)
 
     sp = sub.add_parser("count", help="pseudo-box count against the growth bound")
     _add_common(sp)
+    _add_cap(sp)
     sp.add_argument("--y1", type=int, required=True)
     sp.add_argument("--y2", type=int, required=True)
     sp.set_defaults(func=cmd_count)
@@ -446,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wild", help="wild tilde certificate")
     _add_common(sp)
+    _add_cap(sp)
     sp.add_argument("--kind", choices=tuple(FORMS), required=True)
     sp.add_argument("--f", help="bound descriptor for the decreasing chain")
     sp.add_argument("--g", help="bound descriptor for the increasing chain")
@@ -456,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_wild)
 
     sp = sub.add_parser("selftest", help="run a small built-in check battery")
-    _add_common(sp, with_weights=False)
     sp.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
     sp.set_defaults(func=cmd_selftest)
 
@@ -467,10 +470,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_states", None) is None:
-            args.max_states = _default_cap()
-        if args.max_states < 1:
-            raise UsageError("--max-states must be positive")
+        if hasattr(args, "max_states"):  # registered only where a search takes a cap
+            if args.max_states is None:
+                args.max_states = _default_cap()
+            if args.max_states < 1:
+                raise UsageError("--max-states must be positive")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error at position {exc.pos}: {exc}", file=sys.stderr)

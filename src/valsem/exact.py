@@ -1,13 +1,14 @@
-"""Exact arithmetic for value-group elements.
+"""Exact scalars and the rank-2 values built from them.
 
-Three scalar kinds are supported: arbitrary-precision integers, dyadic
-rationals m/2^k, and real numbers of the form p + q*sqrt(2) with dyadic
-p, q.  Vectors of these scalars form lexicographically ordered product
-groups; the convex subgroups are exactly the suffix subgroups, so
-quotient projections simply drop trailing coordinates.
+Every value is a pair (first, second), ordered lexicographically with
+the first coordinate most significant.  The second coordinate is a
+dyadic rational m/2^k.  The first is a dyadic rational in the group
+DYADIC2 (forms P3 and Q3) or a real p + q*sqrt(2) with dyadic p, q in
+the group QUAD2 (form C5).
 
 No floating point is used anywhere; every comparison is decided by
-integer arithmetic.
+integer arithmetic, and a scalar compares exactly with any int or
+Fraction, dyadic or not.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from sys import hash_info
-from typing import Iterable, Union
 
 from .errors import ParseError, UsageError
-
-ScalarLike = Union[int, "Dyadic", "QuadReal", Fraction]
 
 _HASH_BITS = hash_info.modulus.bit_length()
 
@@ -98,11 +96,17 @@ class Dyadic:
     __rmul__ = __mul__
 
     def _cmp(self, other) -> int:
-        o = Dyadic._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, Dyadic):
+            lhs = self.num << max(0, other.k - self.k)
+            rhs = other.num << max(0, self.k - other.k)
+        elif isinstance(other, (int, Fraction)):
+            # cross-multiplied, so exact for a rational that is not dyadic
+            lhs = self.num * other.denominator
+            rhs = other.numerator << self.k
+        elif isinstance(other, QuadReal):
+            return -other._cmp(self)
+        else:
             return NotImplemented
-        lhs = self.num << max(0, o.k - self.k)
-        rhs = o.num << max(0, self.k - o.k)
         return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other):
@@ -196,6 +200,12 @@ class QuadReal:
             return QuadReal(x)
         return NotImplemented
 
+    def _ints(self):
+        """Integers (p, q, k) with self = (p + q*sqrt2)/2^k."""
+        r, s = self.rat, self.surd
+        k = max(r.k, s.k)
+        return r.num << (k - r.k), s.num << (k - s.k), k
+
     def __add__(self, other):
         o = QuadReal._coerce(other)
         if o is NotImplemented:
@@ -230,26 +240,27 @@ class QuadReal:
 
     def sign(self) -> int:
         """Exact sign: _sign_surd on the parts over a common 2^k."""
-        r, s = self.rat, self.surd
-        k = max(r.k, s.k)
-        return _sign_surd(r.num << (k - r.k), s.num << (k - s.k))
+        p, q, _ = self._ints()
+        return _sign_surd(p, q)
 
     def _cmp(self, other) -> int:
-        o = QuadReal._coerce(other)
-        if o is NotImplemented:
+        p, q, k = self._ints()
+        if isinstance(other, QuadReal):
+            op, oq, ok = other._ints()
+            up, oup = max(0, ok - k), max(0, k - ok)
+            return _sign_surd((p << up) - (op << oup), (q << up) - (oq << oup))
+        if isinstance(other, Dyadic):
+            n, d = other.num, 1 << other.k
+        elif isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+        else:
             return NotImplemented
-        a, b, c, d = self.rat, self.surd, o.rat, o.surd
-        k = max(a.k, b.k, c.k, d.k)
-        return _sign_surd(
-            (a.num << (k - a.k)) - (c.num << (k - c.k)),
-            (b.num << (k - b.k)) - (d.num << (k - d.k)),
-        )
+        # self - n/d, times d * 2^k > 0
+        return _sign_surd(p * d - (n << k), q * d)
 
     def __eq__(self, other):
-        o = QuadReal._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.rat == o.rat and self.surd == o.surd
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c == 0
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -282,11 +293,9 @@ class QuadReal:
         p - m (q < 0), where m = isqrt(2*q^2); so floor(N) is known and
         floor(N / 2^k) = floor(floor(N) / 2^k).
         """
-        r, s = self.rat, self.surd
-        if not s:
-            return r.floor()
-        k = max(r.k, s.k)
-        p, q = r.num << (k - r.k), s.num << (k - s.k)
+        if not self.surd:
+            return self.rat.floor()
+        p, q, k = self._ints()
         m = isqrt(2 * q * q)
         return (p + m if q > 0 else p - m - 1) >> k
 
@@ -301,178 +310,113 @@ class QuadReal:
         return format_scalar(self)
 
 
-def quad_cmp(a, b) -> int:
-    """Exact ordering of two p + q*sqrt(2) values: -1, 0 or 1."""
-    return QuadReal._coerce(a)._cmp(b)
-
-
 SQRT2 = QuadReal(0, 1)
-
-KINDS = ("int", "dyadic", "quad")
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A lex-ordered product group; first coordinate most significant.
-
-    The convex subgroups are the suffix subgroups, so the quotient by
-    the i-th convex subgroup keeps the first rank-i coordinates.
-    """
-
-    kinds: tuple
-
-    def __post_init__(self):
-        if not self.kinds:
-            raise UsageError("group rank must be positive")
-        for kind in self.kinds:
-            if kind not in KINDS:
-                raise UsageError(f"unknown coordinate kind {kind!r}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.kinds)
-
-    def quotient(self, i: int) -> "GroupSpec":
-        if not 0 <= i < self.rank:
-            raise UsageError(f"projection level {i} out of range for rank {self.rank}")
-        if i == 0:
-            return self
-        return GroupSpec(self.kinds[: self.rank - i])
-
-    def coerce_coord(self, kind: str, value):
-        if kind == "int":
-            if isinstance(value, Dyadic):
-                if not value.is_integer():
-                    raise UsageError(f"{value} is not an integer")
-                return value.num
-            if not isinstance(value, int):
-                raise UsageError(f"{value!r} is not an integer")
-            return value
-        if kind == "dyadic":
-            d = Dyadic._coerce(value)
-            if d is NotImplemented:
-                raise UsageError(f"{value!r} is not dyadic")
-            return d
-        q = QuadReal._coerce(value)
-        if q is NotImplemented:
-            raise UsageError(f"{value!r} is not a quadratic value")
-        return q
-
-    def vec(self, *coords) -> "LexVec":
-        return LexVec(self, coords)
-
-    def zero(self) -> "LexVec":
-        return LexVec(self, (0,) * self.rank)
-
-
-DYADIC2 = GroupSpec(("dyadic", "dyadic"))
-QUAD2 = GroupSpec(("quad", "dyadic"))
 
 
 class LexVec:
-    """An element of a lex-ordered product group described by a GroupSpec."""
+    """A rank-2 value (first, second) in lexicographic order.
 
-    __slots__ = ("spec", "coords")
+    ``first`` is a Dyadic or a QuadReal and ``second`` a Dyadic.  The
+    operations work on the two scalars as they are; GroupSpec.vec is the
+    one place where coordinates are checked and coerced.
+    """
 
-    def __init__(self, spec: GroupSpec, coords: Iterable):
-        coords = tuple(coords)
-        if len(coords) != spec.rank:
-            raise UsageError(f"expected {spec.rank} coordinates, got {len(coords)}")
-        coords = tuple(
-            spec.coerce_coord(kind, c) for kind, c in zip(spec.kinds, coords)
-        )
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coords", coords)
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     def __setattr__(self, *_):
         raise AttributeError("LexVec is immutable")
 
-    def _check(self, other: "LexVec"):
-        if not isinstance(other, LexVec):
-            raise UsageError(f"expected LexVec, got {other!r}")
-        if other.spec != self.spec:
-            raise UsageError("LexVec group specs do not match")
+    @property
+    def coords(self) -> tuple:
+        return self.first, self.second
 
     def __add__(self, other):
-        self._check(other)
-        return LexVec(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if not isinstance(other, LexVec):
+            return NotImplemented
+        return LexVec(self.first + other.first, self.second + other.second)
 
     def __sub__(self, other):
-        self._check(other)
-        return LexVec(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        if not isinstance(other, LexVec):
+            return NotImplemented
+        return LexVec(self.first - other.first, self.second - other.second)
 
     def __neg__(self):
-        return LexVec(self.spec, tuple(-a for a in self.coords))
+        return LexVec(-self.first, -self.second)
 
     def __mul__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        return LexVec(self.spec, tuple(a * n for a in self.coords))
+        return LexVec(self.first * n, self.second * n)
 
     __rmul__ = __mul__
 
-    def cmp(self, other: "LexVec") -> int:
-        self._check(other)
-        # both vectors share the spec, so each coordinate pair has one kind
-        for a, b in zip(self.coords, other.coords):
-            c = (a > b) - (a < b) if isinstance(a, int) else a._cmp(b)
-            if c:
-                return c
-        return 0
+    def _cmp(self, other: "LexVec") -> int:
+        return self.first._cmp(other.first) or self.second._cmp(other.second)
 
     def __eq__(self, other):
-        if not isinstance(other, LexVec) or other.spec != self.spec:
-            return NotImplemented
-        return self.cmp(other) == 0
+        return self._cmp(other) == 0 if isinstance(other, LexVec) else NotImplemented
 
     def __lt__(self, other):
-        return self.cmp(other) < 0
+        return self._cmp(other) < 0 if isinstance(other, LexVec) else NotImplemented
 
     def __le__(self, other):
-        return self.cmp(other) <= 0
+        return self._cmp(other) <= 0 if isinstance(other, LexVec) else NotImplemented
 
     def __gt__(self, other):
-        return self.cmp(other) > 0
+        return self._cmp(other) > 0 if isinstance(other, LexVec) else NotImplemented
 
     def __ge__(self, other):
-        return self.cmp(other) >= 0
+        return self._cmp(other) >= 0 if isinstance(other, LexVec) else NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self.coords))
+        return hash((self.first, self.second))
 
     def __repr__(self):
-        return f"LexVec{self.coords!r}"
+        return f"LexVec({self.first!r}, {self.second!r})"
 
     def __str__(self):
         return format_lexvec(self)
 
 
-def lex_cmp(a: LexVec, b: LexVec) -> int:
-    """Lexicographic comparison; -1, 0 or 1, first coordinate dominates."""
-    return a.cmp(b)
+@dataclass(frozen=True)
+class GroupSpec:
+    """The value group of a form: its first coordinate is a QuadReal in
+    QUAD2 and a Dyadic in DYADIC2; the second is always a Dyadic."""
+
+    quad: bool
+
+    def vec(self, first, second) -> LexVec:
+        """The value (first, second), each coordinate coerced to this
+        group's scalar; a nonzero sqrt2 part is rejected in DYADIC2."""
+        if isinstance(first, QuadReal) and not self.quad:
+            if first.surd:
+                raise UsageError(f"first coordinate {format_scalar(first)} is not dyadic")
+            first = first.rat
+        f = (QuadReal if self.quad else Dyadic)._coerce(first)
+        s = Dyadic._coerce(second)
+        if f is NotImplemented or s is NotImplemented:
+            raise UsageError(f"({first!r}, {second!r}) is not a value of this group")
+        return LexVec(f, s)
+
+    def zero(self) -> LexVec:
+        return self.vec(0, 0)
 
 
-def project(v: LexVec, i: int) -> LexVec:
-    """Quotient projection dropping the last i coordinates (order preserving)."""
-    spec = v.spec.quotient(i)
-    return LexVec(spec, v.coords[: spec.rank])
-
-
-def in_interval(v: LexVec, lo: LexVec, hi: LexVec) -> bool:
-    """True iff lo <= v < hi in lex order."""
-    return lo.cmp(v) <= 0 and v.cmp(hi) < 0
+DYADIC2 = GroupSpec(quad=False)
+QUAD2 = GroupSpec(quad=True)
 
 
 # ---------------------------------------------------------------------------
-# Textual serialization.  Integers print as decimals, dyadics as "m/2^k",
-# quadratic values as "p + q*sqrt2", vectors as "(c1, c2)".  Round trips
-# are bit-exact.
+# Textual serialization.  Dyadics print as "m/2^k", quadratic values as
+# "p + q*sqrt2", values as "(first, second)".  Round trips are bit-exact.
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Dyadic):
+    if isinstance(x, (int, Dyadic, Fraction)):
         return str(x)
     if isinstance(x, QuadReal):
         if not x.surd:
@@ -480,13 +424,11 @@ def format_scalar(x) -> str:
         if not x.rat:
             return f"{x.surd}*sqrt2"
         return f"{x.rat} + {x.surd}*sqrt2"
-    if isinstance(x, Fraction):
-        return str(x)
     raise UsageError(f"cannot format {x!r}")
 
 
 def format_lexvec(v: LexVec) -> str:
-    return "(" + ", ".join(format_scalar(c) for c in v.coords) + ")"
+    return f"({format_scalar(v.first)}, {format_scalar(v.second)})"
 
 
 def _parse_dyadic(text: str, pos: int) -> Dyadic:
@@ -511,13 +453,8 @@ def _parse_dyadic(text: str, pos: int) -> Dyadic:
 
 
 def parse_scalar(text: str, kind: str, pos: int = 0):
-    """Parse one coordinate value of the given kind."""
+    """Parse one coordinate value of kind "dyadic" or "quad"."""
     text = text.strip()
-    if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ParseError(f"bad integer {text!r}", pos) from None
     if kind == "dyadic":
         return _parse_dyadic(text, pos)
     if kind == "quad":
@@ -550,16 +487,3 @@ def parse_scalar(text: str, kind: str, pos: int = 0):
                 rat = rat + sign * _parse_dyadic(chunk, pos)
         return QuadReal(rat, surd)
     raise UsageError(f"unknown scalar kind {kind!r}")
-
-
-def parse_lexvec(text: str, spec: GroupSpec) -> LexVec:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("vector must be parenthesized", 0)
-    parts = text[1:-1].split(",")
-    if len(parts) != spec.rank:
-        raise ParseError(f"expected {spec.rank} coordinates", 0)
-    return LexVec(
-        spec,
-        tuple(parse_scalar(p, kind) for p, kind in zip(parts, spec.kinds)),
-    )

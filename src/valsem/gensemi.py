@@ -40,9 +40,7 @@ def _lattice(x) -> Optional[Tuple[int, int, int]]:
     x = QuadReal._coerce(x)
     if x is NotImplemented:
         raise UsageError("first coordinate must be a dyadic or quadratic scalar")
-    r, s = x.rat, x.surd
-    k = max(r.k, s.k)
-    return r.num << (k - r.k), s.num << (k - s.k), k
+    return x._ints()
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class Box:
     def __post_init__(self):
         if self.y1 < 0 or self.y2 < 0:
             raise UsageError("box windows must be nonnegative")
-        if self.t1.coords[0]:
+        if self.t1.first:
             raise UsageError("t1 must lie in the level-1 convex subgroup")
         if _lattice(self.t2) is None:
             raise UsageError("t2 must be a dyadic or quadratic scalar")
@@ -84,21 +82,14 @@ class GenSemigroup:
     """
 
     def __init__(self, spec: GroupSpec, generators: List[LexVec]):
-        if spec.rank != 2:
-            raise UsageError("GenSemigroup supports rank-2 groups")
-        if spec.kinds[1] == "quad":
-            raise UsageError("second coordinate must be dyadic")
-        for g in generators:
-            if g.spec != spec:
-                raise UsageError("generator does not conform to the group spec")
         seen = []  # sorted, each value once
-        for g in sorted(generators):
+        for g in sorted(spec.vec(g.first, g.second) for g in generators):
             if not seen or g != seen[-1]:
                 seen.append(g)
         self.spec = spec
         self.generators = seen
-        fcs = [_lattice(g.coords[0]) for g in seen]
-        scs = [Dyadic._coerce(g.coords[1]) for g in seen]
+        fcs = [_lattice(g.first) for g in seen]
+        scs = [g.second for g in seen]
         self._fk = max((k for _, _, k in fcs), default=0)
         self._sk = max((sc.k for sc in scs), default=0)
         self.pos, self.zeros = [], []
@@ -137,11 +128,8 @@ class GenSemigroup:
         return [(p << d, q << d, s) for p, q, s in self._pos_ints], k
 
     def _decode(self, p: int, q: int, fk: int, s: int, sk: int) -> LexVec:
-        if self.spec.kinds[0] == "quad":
-            fc = QuadReal(Dyadic(p, fk), Dyadic(q, fk))
-        else:
-            fc = Dyadic(p, fk)
-        return self.spec.vec(fc, Dyadic(s, sk))
+        fc = QuadReal(Dyadic(p, fk), Dyadic(q, fk)) if self.spec.quad else Dyadic(p, fk)
+        return LexVec(fc, Dyadic(s, sk))
 
     # -- tilde ----------------------------------------------------------
 
@@ -229,7 +217,7 @@ class GenSemigroup:
         tilde(lam - g) + sc(g).  Every cell update counts the 64-bit
         words of its window against cap.
         """
-        t1 = Dyadic._coerce(box.t1.coords[1])
+        t1 = box.t1.second
         sk = max(self._sk, t1.k)
         shift = sk - self._sk
         width = box.y1 * t1.num << (sk - t1.k)

@@ -131,18 +131,6 @@ class SeqFamily:
         return self._suffix_products[suffix]
 
 
-def gamma(fam: SeqFamily, i: int) -> Dyadic:
-    if fam.kind != "P":
-        raise UsageError("gamma is defined for P families")
-    return fam.second(i)
-
-
-def delta(fam: SeqFamily, i: int) -> Dyadic:
-    if fam.kind != "Q":
-        raise UsageError("delta is defined for Q families")
-    return fam.second(i)
-
-
 @dataclass(frozen=True)
 class ExpTerm:
     """One expansion term a(z) * x^a0 * prod P_i^ai * u^b0 * prod Q_i^bi.
@@ -221,7 +209,7 @@ class ValuationDef:
 
     def first(self, *parts):
         """The first coordinate with one part per family, in family order."""
-        return QuadReal(*parts) if self.form == "C5" else parts[0]
+        return QuadReal(*parts) if self.group.quad else parts[0]
 
     def embed(self, fam: SeqFamily, x):
         """The first coordinate whose part for fam is x and whose other parts are 0."""
@@ -257,8 +245,8 @@ class ValuationDef:
         """nu_2(p_2): minimal first coordinate over the center generators."""
         firsts = []
         for fam in self.families():
-            firsts.append(self.gen_value(fam, 0).coords[0])
-            firsts.append(self.gen_value(fam, 1).coords[0])
+            firsts.append(self.gen_value(fam, 0).first)
+            firsts.append(self.gen_value(fam, 1).first)
         return min(firsts)
 
     def descriptor(self) -> dict:
@@ -355,7 +343,8 @@ def term_value(v: ValuationDef, t: ExpTerm) -> LexVec:
                 if i >= 1:
                     second = second + e * fam.second(i)
         parts.append(part)
-    return v.group.vec(v.first(*parts), second)
+    # v.first gives the group's first-coordinate scalar, so no coercion
+    return LexVec(v.first(*parts), second)
 
 
 @dataclass

@@ -319,8 +319,8 @@ def div_in_var(f: MPoly, g: MPoly, var: int) -> Tuple[MPoly, MPoly]:
     """Euclidean division f = q*g + r in the chosen variable.
 
     Requires the leading coefficient of g in var to be a unit c*z^k of
-    the Laurent coefficient ring (constant in the other variables); the
-    quotient and remainder are then unique with deg_var(r) < deg_var(g).
+    the Laurent coefficient ring (constant in the other variables); q
+    and r are then unique with deg_var(r) < deg_var(g).
     """
     if g.is_zero():
         raise UsageError("division by zero polynomial")
@@ -369,7 +369,7 @@ class _Lexer:
                 start = pos
                 while pos < len(text) and text[pos].isdigit():
                     pos += 1
-                self.tokens.append(("int", int(text[start:pos]), start))
+                self.tokens.append(("num", int(text[start:pos]), start))
                 continue
             if ch.isalpha():
                 start = pos
@@ -432,7 +432,7 @@ class _Parser:
                 self.lex.next()
                 sign = -sign
             kind, val, pos = self.lex.next()
-            if kind != "int":
+            if kind != "num":
                 raise ParseError("expected integer exponent", pos)
             e = sign * val
             if e < 0:
@@ -444,12 +444,12 @@ class _Parser:
 
     def base(self) -> Tuple[MPoly, bool]:
         kind, val, pos = self.lex.next()
-        if kind == "int":
+        if kind == "num":
             num = val
             if self.lex.peek()[0] == "/":
                 self.lex.next()
                 kind2, den, pos2 = self.lex.next()
-                if kind2 != "int" or den == 0:
+                if kind2 != "num" or den == 0:
                     raise ParseError("bad rational literal", pos2)
                 return MPoly.constant(LaurentZ.term(Fraction(num, den))), False
             return MPoly.constant(LaurentZ.term(num)), False

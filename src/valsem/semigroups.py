@@ -75,15 +75,16 @@ def stair_members(r: int, lo, hi, cap: int = DEFAULT_MEMBER_CAP) -> List[Dyadic]
     hi = _to_fraction(hi)
     if not 0 <= lo < hi:
         raise UsageError("window must satisfy 0 <= lo < hi")
-    n_hi = hi.numerator // hi.denominator + 1
-    expected = stair_count_upto(r, max(1, n_hi + 1))
-    if expected > cap:
-        raise CapExceeded("staircase window too large to enumerate", cap)
+
     def frac_ceil(q: Fraction) -> int:
         return -((-q.numerator) // q.denominator)
 
+    n_lo = lo.numerator // lo.denominator
+    # the members of [floor(lo), ceil(hi)[, a cover of the window
+    if stair_count_upto(r, frac_ceil(hi)) - stair_count_upto(r, n_lo) > cap:
+        raise CapExceeded("staircase window too large to enumerate", cap)
     out: List[Dyadic] = []
-    n = max(1, lo.numerator // lo.denominator)
+    n = max(1, n_lo)
     while n < hi:
         m, _ = stair_decompose(n)
         k = (m + 1) * r
@@ -94,19 +95,6 @@ def stair_members(r: int, lo, hi, cap: int = DEFAULT_MEMBER_CAP) -> List[Dyadic]
         out.extend(Dyadic(base + a, k) for a in range(a_lo, a_hi))
         n += 1
     return out
-
-
-def stair_member(r: int, q) -> bool:
-    """Membership test via the defining decomposition."""
-    q = _to_fraction(q)
-    if q < 1:
-        return False
-    n = q.numerator // q.denominator
-    m, _ = stair_decompose(n)
-    k = (m + 1) * r
-    frac = q - n
-    scaled = frac * (1 << k)
-    return scaled.denominator == 1 and 0 <= scaled.numerator < (1 << k)
 
 
 _BERNOULLI: List[Fraction] = [Fraction(1)]

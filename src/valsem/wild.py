@@ -67,7 +67,7 @@ class WildParams:
         return self.a_value() * x
 
     def omega(self, v: LexVec) -> LexVec:
-        return v.spec.vec(self.omega_first(v.coords[0]), self.c * v.coords[1])
+        return LexVec(self.omega_first(v.first), self.c * v.second)
 
 
 def _as_dyadic(x) -> Dyadic:
@@ -245,7 +245,7 @@ def wild_certificate(
                 if not searched:
                     entry = semigroup.tilde(lam, cap=tilde_cap)
                     if entry is not None:
-                        t2 = entry.tilde.coords[1]
+                        t2 = entry.tilde.second
                         t2_text = format_scalar(t2)
                     searched = True
                 tilde_second = t2_text

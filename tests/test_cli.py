@@ -196,6 +196,11 @@ class TestExample3:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[0] for r in rows[1:]] == ["1", "2", "4", "8", "16"]
 
+    @pytest.mark.parametrize("y2_max", ["0", "-5"])
+    def test_y2_max_below_one_is_usage_error(self, capsys, y2_max):
+        code, out, err = run(capsys, "example3", "--y2-max", y2_max)
+        assert code == 2 and out == "" and "--y2-max" in err
+
 
 class TestWild:
     def test_valid_certificate(self, capsys):
@@ -256,6 +261,26 @@ class TestSelftest:
         assert code == 0
         lines = [l for l in out.strip().splitlines() if ": " in l]
         assert lines and all(l.endswith(": ok") for l in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--format", "json"],
+    ["selftest", "--out", "result.txt"],
+    ["selftest", "--max-states", "5"],
+    ["valuate", "--sigma", "2,5", "--poly", "y", "--max-states", "5"],
+    ["expand", "--sigma", "2,5", "--poly", "y", "--max-states", "5"],
+    ["example3", "--max-states", "5"],
+])
+def test_unread_flags_are_not_registered(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cap_environment_read_only_where_a_cap_applies(capsys, monkeypatch):
+    monkeypatch.setenv("VALSEM_MAX_STATES", "bogus")
+    code, out, _ = run(capsys, "valuate", "--sigma", "2,5", "--poly", "y^2")
+    assert code == 0 and out.splitlines()[0] == "(5, -2)"
 
 
 # sha256 of stdout for fixed invocations: tilde witnesses, box counts and
@@ -370,8 +395,9 @@ def _argv(draw):
             sizes = _mostly(st.integers(0, 24).map(str), st.sampled_from(["-1", "ten", "2.5"]))
             argv += [f"--y1={draw(sizes)}", f"--y2={draw(sizes)}"]
     argv += draw(_opt("--format", _mostly(st.sampled_from(["json", "csv", "pretty"]), st.just("xml"))))
-    # a cap keeps every search small; the default cap is a million states
-    argv += [f"--max-states={draw(_mostly(st.integers(1, 4000), st.integers(-1, 0)))}"]
+    if cmd in ("tilde", "count", "wild"):
+        # a cap keeps every search small; the default cap is a million states
+        argv += [f"--max-states={draw(_mostly(st.integers(1, 4000), st.integers(-1, 0)))}"]
     return argv
 
 

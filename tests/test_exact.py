@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valsem.errors import ParseError, UsageError
@@ -12,23 +12,23 @@ from valsem.exact import (
     QUAD2,
     SQRT2,
     Dyadic,
-    GroupSpec,
     LexVec,
     QuadReal,
     format_lexvec,
     format_scalar,
-    in_interval,
-    lex_cmp,
-    parse_lexvec,
     parse_scalar,
-    project,
-    quad_cmp,
 )
+from valsem.gensemi import GenSemigroup
 
 dyadics = st.builds(Dyadic, st.integers(-10**6, 10**6), st.integers(0, 40))
 quads = st.builds(QuadReal, dyadics, dyadics)
 big_dyadics = st.builds(Dyadic, st.integers(-(2**200), 2**200), st.integers(0, 40))
 big_quads = st.builds(QuadReal, big_dyadics, big_dyadics)
+# an odd factor in the denominator, so most are not dyadic
+odd_fractions = st.builds(
+    lambda n, odd, j: Fraction(n, (2 * odd + 1) << j),
+    st.integers(-10**6, 10**6), st.integers(0, 5000), st.integers(0, 8),
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -54,6 +54,16 @@ def sign_oracle(p: Fraction, q: Fraction) -> int:
             return -1
         bits *= 2
         assert bits <= 1 << 16, "oracle failed to converge"
+
+
+def parse_lexvec(text: str, spec) -> LexVec:
+    """Read back a value printed by format_lexvec, as the CLI prints it."""
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ParseError("vector must be parenthesized", 0)
+    first, second = text[1:-1].split(",")
+    return spec.vec(parse_scalar(first, "quad" if spec.quad else "dyadic"),
+                    parse_scalar(second, "dyadic"))
 
 
 class TestDyadic:
@@ -140,8 +150,8 @@ class TestQuadReal:
 
     def test_sqrt2_constant(self):
         assert SQRT2 * SQRT2 == QuadReal(2)
-        assert quad_cmp(SQRT2, 1) > 0
-        assert quad_cmp(SQRT2, 2) < 0
+        assert SQRT2 > 1 and 1 < SQRT2
+        assert SQRT2 < 2 and Dyadic(2) > SQRT2
 
     @given(quads, quads)
     @settings(max_examples=60, deadline=None)
@@ -172,10 +182,11 @@ class TestQuadReal:
             b = rng.choice([QuadReal(part(), part()), QuadReal(a.rat, part()),
                             QuadReal(a.rat, a.surd)])
             c = (a - b).sign()
-            assert quad_cmp(a, b) == c and quad_cmp(b, a) == -c
             assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+            assert (b > a, b == a, b < a) == (c < 0, c == 0, c > 0)
             n = rng.randint(-30, 30)
-            assert quad_cmp(a, n) == (a - n).sign()
+            s = (a - n).sign()
+            assert (a < n, a == n, a > n) == (s < 0, s == 0, s > 0)
 
     def test_floor_ceil(self):
         assert SQRT2.floor() == 1 and SQRT2.ceil() == 2
@@ -189,7 +200,7 @@ class TestQuadReal:
     @settings(max_examples=60, deadline=None)
     def test_floor_bracket(self, x):
         n = x.floor()
-        assert quad_cmp(x, n) >= 0 and quad_cmp(x, n + 1) < 0
+        assert x >= n and x < n + 1
 
     @given(big_quads)
     @settings(max_examples=200, deadline=None)
@@ -198,12 +209,44 @@ class TestQuadReal:
         assert x >= n and x < n + 1
 
 
+class TestFractionComparison:
+    """A scalar compares exactly with any Fraction; one that is not dyadic
+    is never equal to it."""
+
+    @given(dyadics, odd_fractions)
+    @example(Dyadic(1), Fraction(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_dyadic(self, a, f):
+        fa = a.as_fraction()
+        assert (a == f, f == a, a != f) == (fa == f, fa == f, fa != f)
+        assert (a < f, a <= f, a > f, a >= f) == (fa < f, fa <= f, fa > f, fa >= f)
+        assert (f < a, f > a) == (f < fa, f > fa)
+
+    @given(dyadics, dyadics, odd_fractions)
+    @example(Dyadic(1), Dyadic(0), Fraction(1, 3))
+    @example(Dyadic(-1393), Dyadic(985), Fraction(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_quad_with_zero_and_nonzero_surd(self, p, q, f):
+        for x in (QuadReal(p), QuadReal(p, q)):
+            c = sign_oracle(x.rat.as_fraction() - f, x.surd.as_fraction())
+            assert (x == f, f == x, x != f) == (c == 0, c == 0, c != 0)
+            assert (x < f, x <= f, x > f, x >= f) == (c < 0, c <= 0, c > 0, c >= 0)
+            assert (f < x, f > x) == (c > 0, c < 0)
+
+
 class TestLexVec:
     def test_lex_order_first_coordinate_dominates(self):
         a = DYADIC2.vec(1, 1000)
         b = DYADIC2.vec(Dyadic(3, 1), -1000)
-        assert lex_cmp(a, b) < 0
-        assert a < b and not b < a
+        assert a < b and not b < a and a <= b and b > a and b >= a
+
+    def test_slotted_pair(self):
+        v = QUAD2.vec(SQRT2, Dyadic(-3, 1))
+        assert LexVec.__slots__ == ("first", "second") and not hasattr(v, "__dict__")
+        assert v.coords == (v.first, v.second) == (SQRT2, Dyadic(-3, 1))
+        assert DYADIC2.vec(1, 2).coords == (Dyadic(1), Dyadic(2))
+        with pytest.raises(AttributeError):
+            v.first = Dyadic(0)
 
     def test_group_operations(self):
         a = DYADIC2.vec(Dyadic(1, 1), 2)
@@ -212,29 +255,20 @@ class TestLexVec:
         assert a - a == DYADIC2.zero()
         assert 3 * a == DYADIC2.vec(Dyadic(3, 1), 6)
 
-    def test_quotient_projection(self):
-        v = QUAD2.vec(QuadReal(1, 2), Dyadic(5, 1))
-        p = project(v, 1)
-        assert p.spec.rank == 1 and p.coords == (QuadReal(1, 2),)
-        with pytest.raises(UsageError):
-            project(v, 2)
-
-    def test_in_interval(self):
-        lo, hi = DYADIC2.vec(0, 0), DYADIC2.vec(2, 0)
-        assert in_interval(DYADIC2.vec(1, -50), lo, hi)
-        assert in_interval(DYADIC2.vec(2, -1), lo, hi)  # (2,-1) <lex (2,0)
-        assert not in_interval(DYADIC2.vec(2, 1), lo, hi)
-        assert in_interval(lo, lo, hi)
-
     def test_spec_mismatch_rejected(self):
+        # GroupSpec.vec checks each coordinate, and GenSemigroup passes
+        # every generator through it
         with pytest.raises(UsageError):
-            DYADIC2.vec(1, 1) + QUAD2.vec(1, 1)
-
-    def test_int_kind_checked(self):
-        spec = GroupSpec(("int", "dyadic"))
-        assert spec.vec(Dyadic(4, 1), 0).coords[0] == 2
+            DYADIC2.vec(SQRT2, 1)
         with pytest.raises(UsageError):
-            spec.vec(Dyadic(1, 1), 0)
+            QUAD2.vec(1, SQRT2)
+        with pytest.raises(UsageError):
+            DYADIC2.vec(Fraction(1, 3), 0)
+        with pytest.raises(UsageError):
+            GenSemigroup(DYADIC2, [QUAD2.vec(QuadReal(1, 1), 0)])
+        assert DYADIC2.vec(QuadReal(3), 1) == DYADIC2.vec(3, 1)
+        assert isinstance(DYADIC2.vec(QuadReal(3), 1).first, Dyadic)
+        assert isinstance(QUAD2.vec(3, 1).first, QuadReal)
 
 
 class TestSerialization:

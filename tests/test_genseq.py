@@ -12,11 +12,9 @@ from valsem.genseq import (
     check_key_identity,
     choose_sigma,
     choose_tau,
-    delta,
     eta,
     eta_closed,
     expand,
-    gamma,
     normalize_product,
     reconstruct,
     term_value,
@@ -60,9 +58,9 @@ class TestWeights:
 
     def test_gamma_delta_examples(self):
         p = SeqFamily("P", SIGMA)
-        assert [gamma(p, i) for i in range(3)] == [Dyadic(0), Dyadic(-1), Dyadic(-3)]
+        assert [p.second(i) for i in range(3)] == [Dyadic(0), Dyadic(-1), Dyadic(-3)]
         q = SeqFamily("Q", [2, 6])
-        assert [delta(q, i) for i in range(3)] == [Dyadic(0), Dyadic(1), Dyadic(7, 1)]
+        assert [q.second(i) for i in range(3)] == [Dyadic(0), Dyadic(1), Dyadic(7, 1)]
 
     def test_second_matches_fraction_oracle(self):
         rng = random.Random(2)
@@ -259,14 +257,14 @@ class TestChooseWeights:
         w = choose_sigma(lambda n: -n, 3)
         assert w[1] == 34
         fam = SeqFamily("P", w)
-        assert gamma(fam, 1) == Dyadic(-17)
+        assert fam.second(1) == Dyadic(-17)
 
     def test_minimality_and_integrality(self):
         f = lambda n: -n
         w = choose_sigma(f, 6)
         fam = SeqFamily("P", w)
         for i in range(1, 7):
-            g_i = gamma(fam, i)
+            g_i = fam.second(i)
             assert g_i.is_integer()
             assert g_i < f(i << (i + 3))
             # one smaller admissible weight (same parity) would break it
@@ -274,14 +272,14 @@ class TestChooseWeights:
             w2[i] -= 2
             if w2[i] >= 1:
                 fam2 = SeqFamily("P", w2)
-                assert not gamma(fam2, i) < f(i << (i + 3))
+                assert not fam2.second(i) < f(i << (i + 3))
 
     def test_choose_tau(self):
         g = lambda n: n
         w = choose_tau(g, 6)
         fam = SeqFamily("Q", w)
         for i in range(1, 7):
-            d_i = delta(fam, i)
+            d_i = fam.second(i)
             assert d_i.is_integer()
             assert d_i > g(i << (i + 3))
 
@@ -289,4 +287,4 @@ class TestChooseWeights:
         w = choose_sigma(lambda n: -(n**2), 12)
         fam = SeqFamily("P", w)
         for i in (1, 6, 12):
-            assert gamma(fam, i) < -((i << (i + 3)) ** 2)
+            assert fam.second(i) < -((i << (i + 3)) ** 2)

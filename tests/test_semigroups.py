@@ -17,7 +17,6 @@ from valsem.semigroups import (
     stair_count,
     stair_count_upto,
     stair_decompose,
-    stair_member,
     stair_members,
     t_box_count,
     theorem1_bound,
@@ -37,6 +36,17 @@ def members_oracle(r, lo, hi):
                 out.append(val)
         n += 1
     return out
+
+
+def stair_member(r, q):
+    """Membership in S by the defining decomposition, Fractions only."""
+    q = q.as_fraction() if isinstance(q, Dyadic) else Fraction(q)
+    if q < 1:
+        return False
+    n = q.numerator // q.denominator
+    m, _ = stair_decompose(n)
+    scaled = (q - n) * (1 << ((m + 1) * r))
+    return scaled.denominator == 1
 
 
 class TestStaircase:
@@ -84,6 +94,17 @@ class TestStaircase:
     def test_members_cap(self):
         with pytest.raises(CapExceeded):
             stair_members(3, 0, 4096, cap=1000)
+
+    def test_members_cap_counts_the_window(self):
+        # [3000, 3001[ holds 2^12 members, far fewer than [0, 3001[
+        got = stair_members(1, 3000, 3001)
+        assert len(got) == stair_count(1, 3000) == 4096
+        assert got[0] == 3000 and got[-1] == Dyadic((3001 << 12) - 1, 12)
+        with pytest.raises(CapExceeded):
+            stair_members(1, 3000, 3001, cap=4095)
+        # 2^60 members: refused before any is built
+        with pytest.raises(CapExceeded):
+            stair_members(1, Fraction(1, 3), 1 << 30)
 
     def test_membership_and_closure(self):
         rng = random.Random(9)

@@ -1,6 +1,7 @@
 """Source-level checks on the library package."""
 
 import ast
+import re
 from pathlib import Path
 
 import valsem
@@ -46,3 +47,14 @@ def test_library_has_no_floats():
                 elif isinstance(node, ast.Name) and node.id == "float":
                     found.append(f"{path.name}:{node.lineno}: name float")
     assert found == []
+
+
+def test_exports_are_referenced():
+    # an export that neither the README, the CLI nor the benchmark names
+    # is API no one uses; ValsemError is kept as the base of every error
+    root = Path(__file__).resolve().parents[1]
+    texts = [root / "README.md", SRC / "cli.py", *sorted((root / "bench").glob("**/*.py"))]
+    words = set()
+    for path in texts:
+        words |= set(re.findall(r"\w+", path.read_text()))
+    assert sorted(set(valsem.__all__) - words - {"ValsemError"}) == []

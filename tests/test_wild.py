@@ -10,7 +10,7 @@ from importlib import resources
 from valsem.errors import CapExceeded, UsageError, VerificationError
 from valsem.exact import Dyadic, QuadReal, format_scalar
 from valsem.gensemi import DEFAULT_STATE_CAP, GenSemigroup
-from valsem.genseq import SeqFamily, ValuationDef, eta, gamma
+from valsem.genseq import SeqFamily, ValuationDef, eta
 from valsem.wild import (
     CertRow,
     WildParams,
@@ -150,7 +150,7 @@ class TestCertificates:
         params = WildParams()
         # crush one weight down to 1: gamma stops decreasing fast enough
         vbad = crushed("decreasing")
-        assert gamma(vbad.p, 2) >= NEG_SQ(2 << 5)
+        assert vbad.p.second(2) >= NEG_SQ(2 << 5)
         cert = wild_certificate("decreasing", vbad, params, f=NEG_SQ, N=512)
         assert not cert.valid
         row = cert.first_bad()
