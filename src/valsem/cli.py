@@ -360,8 +360,9 @@ def cmd_selftest(args) -> int:
     res = valuate(vdef, parse_poly("y^2"))
     check("valuate y^2 = (5, -2)", res.value == vdef.group.vec(5, -2))
     check("eta closed form", all(eta(i) == eta_closed(i) for i in range(20)))
-    # the symbolic check at index i expands the (i+1)-th member, so the
-    # weight list must run one index further
+    # at i = 1, 2 the identity is checked on the cached values and on the
+    # expansion of z^a_i * P_i^2; the strictness check reads the value of
+    # P_(i+1), so the weight list runs one index further
     vdef_id = ValuationDef.p3([2, 5, 3])
     check("key identities", all(check_key_identity(vdef_id, i) for i in (1, 2)))
     check(

@@ -23,7 +23,34 @@ from .errors import ParseError, UsageError
 _HASH_BITS = hash_info.modulus.bit_length()
 
 
-class Dyadic:
+class _Ordered:
+    """The five comparisons, each read from ``_cmp``: the sign of
+    self - other as an int, or NotImplemented for a foreign type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c == 0
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c >= 0
+
+
+class Dyadic(_Ordered):
     """A dyadic rational m/2^k in canonical form (m odd or zero, k >= 0)."""
 
     __slots__ = ("num", "k")
@@ -109,26 +136,6 @@ class Dyadic:
             return NotImplemented
         return (lhs > rhs) - (lhs < rhs)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
     def __hash__(self):
         # hash(Fraction(num, 2^k)) without building the Fraction: the hash
         # modulus is the Mersenne prime 2^b - 1, so 2^-k = 2^(-k mod b)
@@ -171,7 +178,7 @@ def _sign_surd(p: int, q: int) -> int:
     return 1 if p > 0 else -1
 
 
-class QuadReal:
+class QuadReal(_Ordered):
     """An exact real p + q*sqrt(2) with dyadic parts p, q.
 
     Equality of the parts is equality of the values since sqrt(2) is
@@ -258,26 +265,6 @@ class QuadReal:
         # self - n/d, times d * 2^k > 0
         return _sign_surd(p * d - (n << k), q * d)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
     def __hash__(self):
         # a rational value hashes as the equal Dyadic, int or Fraction
         return hash(self.rat) if not self.surd else hash((self.rat, self.surd))
@@ -313,7 +300,7 @@ class QuadReal:
 SQRT2 = QuadReal(0, 1)
 
 
-class LexVec:
+class LexVec(_Ordered):
     """A rank-2 value (first, second) in lexicographic order.
 
     ``first`` is a Dyadic or a QuadReal and ``second`` a Dyadic.  The
@@ -354,23 +341,10 @@ class LexVec:
 
     __rmul__ = __mul__
 
-    def _cmp(self, other: "LexVec") -> int:
+    def _cmp(self, other) -> int:
+        if not isinstance(other, LexVec):
+            return NotImplemented
         return self.first._cmp(other.first) or self.second._cmp(other.second)
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0 if isinstance(other, LexVec) else NotImplemented
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0 if isinstance(other, LexVec) else NotImplemented
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0 if isinstance(other, LexVec) else NotImplemented
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0 if isinstance(other, LexVec) else NotImplemented
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0 if isinstance(other, LexVec) else NotImplemented
 
     def __hash__(self):
         return hash((self.first, self.second))

@@ -120,8 +120,8 @@ class SeqFamily:
         return f"{self.kind}_{i}" if i else self.root
 
     def suffix_product(self, suffix: Tuple[int, ...]) -> MPoly:
-        """prod member_i^e for the exponents (e at index i >= 1), cached."""
-        suffix = _canon_suffix(suffix)
+        """prod member_i^e for the exponents (e at index i >= 1), cached;
+        the suffix must not end in a zero exponent."""
         if suffix not in self._suffix_products:
             prod = MPoly.one()
             for i, e in enumerate(suffix, start=1):
@@ -143,14 +143,6 @@ class ExpTerm:
     coeff: LaurentZ
     alpha: Tuple[int, ...] = ()
     beta: Tuple[int, ...] = ()
-
-
-def _canon_suffix(exps: Tuple[int, ...]) -> Tuple[int, ...]:
-    exps = tuple(exps)
-    n = len(exps)
-    while n and exps[n - 1] == 0:
-        n -= 1
-    return exps[:n]
 
 
 def _canon_exps(exps: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -354,9 +346,10 @@ class ValuationResult:
     expansion: List[ExpTerm]
 
 
-def _min_term(v: ValuationDef, terms: List[ExpTerm]) -> Tuple[LexVec, ExpTerm]:
-    best = None
-    best_term = None
+def valuate(v: ValuationDef, f: MPoly) -> ValuationResult:
+    """nu(f) with the (unique) minimizing expansion term as witness."""
+    terms = expand(v, f)
+    best = best_term = None
     tie = False
     for t in terms:
         val = term_value(v, t)
@@ -364,113 +357,28 @@ def _min_term(v: ValuationDef, terms: List[ExpTerm]) -> Tuple[LexVec, ExpTerm]:
             best, best_term, tie = val, t, False
         elif val == best:
             tie = True
-    if best is None:
-        raise UsageError("empty expansion has no value")
     if tie:
         raise VerificationError("expansion minimum attained by more than one term")
-    return best, best_term
+    return ValuationResult(best, best_term, terms)
 
 
-def valuate(v: ValuationDef, f: MPoly) -> ValuationResult:
-    """nu(f) with the (unique) minimizing expansion term as witness."""
-    terms = expand(v, f)
-    value, witness = _min_term(v, terms)
-    return ValuationResult(value, witness, terms)
+_SYMBOLIC_MAX_INDEX = 6
 
 
-def _pad(exps: Tuple[int, ...], i: int) -> List[int]:
-    out = list(exps)
-    out.extend([0] * (i + 1 - len(out)))
-    return out
-
-
-def normalize_product(v: ValuationDef, terms: List[ExpTerm]) -> List[ExpTerm]:
-    """Rewrite a term list with arbitrary N exponents into canonical form.
-
-    Repeatedly substitutes the defining identity of the family whose
-    slot (alpha for P, beta for Q) has an offending exponent,
-
-        M_i^2 = z^(-a_i) * M_{i+1} + z^(b_i - a_i) * root^(2^(i+1)) * M_{i-1}
-
-    collecting like terms, until every exponent vector lies in
-    N x {0,1}^l.  The minimum weight of the list is preserved at every
-    step, so the result expands the same polynomial.
-    """
-    work: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], LaurentZ] = {}
-    for t in terms:
-        key = (_canon_exps(t.alpha) if t.alpha else (), _canon_exps(t.beta) if t.beta else ())
-        work[key] = work[key] + t.coeff if key in work else t.coeff
-    for key in [k for k, c in work.items() if c.is_zero()]:
-        del work[key]
-
-    def offending(key):
-        for side, exps in enumerate(key):
-            for i in range(1, len(exps)):
-                if exps[i] >= 2:
-                    return side, i
-        return None
-
-    def add(key, coeff):
-        if key in work:
-            s = work[key] + coeff
-            if s.is_zero():
-                del work[key]
-            else:
-                work[key] = s
-        elif not coeff.is_zero():
-            work[key] = coeff
-
-    changed = True
-    while changed:
-        changed = False
-        for key in list(work):
-            if key not in work:
-                continue
-            hit = offending(key)
-            if hit is None:
-                continue
-            changed = True
-            side, i = hit
-            coeff = work.pop(key)
-            a, b = (v.p, v.q)[side].shifts(i)
-            up = _pad(key[side], i + 1)
-            up[i] -= 2
-            up[i + 1] += 1
-            down = _pad(key[side], i + 1)
-            down[i] -= 2
-            down[i - 1] += 1
-            down[0] += 1 << (i + 1)
-            for exps, shift in ((up, -a), (down, b - a)):
-                new = list(key)
-                new[side] = _canon_exps(tuple(exps))
-                add(tuple(new), coeff.scaled(1, shift))
-    out = [ExpTerm(c, alpha=a, beta=b) for (a, b), c in work.items()]
-    out.sort(key=lambda t: (t.alpha, t.beta))
-    return out
-
-
-def check_key_identity(v: ValuationDef, i: int, symbolic: Optional[bool] = None) -> bool:
+def check_key_identity(v: ValuationDef, i: int) -> bool:
     """Check nu(members) data: equality of the two recursion branches and
     strictness against the next member, for every family of the form.
 
-    The arithmetic check runs on cached (eta, gamma/delta) data.  The
-    symbolic check recomputes both branch values from actual
-    polynomials; for indices whose squares are too large to expand by
-    division it rewrites the square through the defining identity
-    instead, which is the same substitution the expansion uses.
+    The arithmetic check runs on cached (eta, gamma/delta) data for every
+    i.  Up to _SYMBOLIC_MAX_INDEX the left branch is also valued from the
+    polynomial z^a_i * M_i^2 itself, through its canonical expansion.
     """
     if i < 1:
         raise UsageError("key identities are stated for i >= 1")
-    for fam in v.families():
-        if not _check_family_identity(v, fam, i, symbolic):
-            return False
-    return True
+    return all(_check_family_identity(v, fam, i) for fam in v.families())
 
 
-_SYMBOLIC_POLY_CAP = 5
-
-
-def _check_family_identity(v: ValuationDef, fam: SeqFamily, i: int, symbolic) -> bool:
+def _check_family_identity(v: ValuationDef, fam: SeqFamily, i: int) -> bool:
     a, b = fam.shifts(i)
     two_eta = 2 * eta(i)
     left_first = two_eta
@@ -480,21 +388,14 @@ def _check_family_identity(v: ValuationDef, fam: SeqFamily, i: int, symbolic) ->
     ok = left_first == right_first and left_second == right_second
     # strictness against the next member needs only eta data
     ok = ok and two_eta < eta(i + 1)
-    if not ok:
-        return False
-    if symbolic is False:
-        return True
-    if symbolic is None and i > 6:
-        return True
+    if not ok or i > _SYMBOLIC_MAX_INDEX:
+        return ok
 
     def fam_term(exps, shift=0):
         return ExpTerm(LaurentZ.term(1, shift), **{_slot(fam): tuple(exps)})
 
-    if i <= _SYMBOLIC_POLY_CAP:
-        pi = fam.poly(i)
-        left_val = valuate(v, (pi * pi).scaled(1, a)).value
-    else:
-        left_val = _min_term(v, normalize_product(v, [fam_term([0] * i + [2], a)]))[0]
+    pi = fam.poly(i)
+    left_val = valuate(v, (pi * pi).scaled(1, a)).value
     right_val = term_value(v, fam_term(_r_exps(i), b))
     next_val = term_value(v, fam_term((0,) * (i + 1) + (1,)))
     return left_val == right_val and left_val < next_val
@@ -511,36 +412,23 @@ def _r_exps(i: int) -> List[int]:
     return exps
 
 
-def choose_sigma(f: Callable[[int], int], i_max: int) -> Dict[int, int]:
-    """Minimal weights sigma(i) making gamma_i integral and below f(i*2^(i+3)).
+def choose_weights(kind: str, bound: Callable[[int], int], i_max: int) -> Dict[int, int]:
+    """Minimal weights w_i making each s_i integral and beyond
+    bound(i*2^(i+3)): below it for a P family, above it for a Q family.
 
-    Integrality follows the recursion gamma_i = (gamma_{i-1} - sigma(i)) / 2,
-    so sigma(i) must match the parity of gamma_{i-1}; minimality is over
-    positive integers scanned in increasing order.
+    With t = -1 for P and +1 for Q the recursion reads
+    s_i = (s_{i-1} + t*w_i) / 2, so s_i is beyond the bound exactly when
+    w_i > t*(2*bound - s_{i-1}), and integral when w_i has the parity of
+    s_{i-1}; minimality is over positive integers.
     """
+    if kind not in ("P", "Q"):
+        raise UsageError(f"unknown family kind {kind!r}")
+    t = -1 if kind == "P" else 1
     weights: Dict[int, int] = {}
-    g = 0  # gamma_{i-1}, an integer by construction
+    s = 0  # s_{i-1}, an integer by construction
     for i in range(1, i_max + 1):
-        bound = f(i << (i + 3))
-        # need (g - sigma)/2 < bound, i.e. sigma > g - 2*bound
-        lo = max(1, g - 2 * bound + 1)
-        if lo % 2 != g % 2:
-            lo += 1
-        weights[i] = lo
-        g = (g - lo) // 2
-    return weights
-
-
-def choose_tau(g_fn: Callable[[int], int], i_max: int) -> Dict[int, int]:
-    """Minimal weights tau(i) making delta_i integral and above g(i*2^(i+3))."""
-    weights: Dict[int, int] = {}
-    d = 0
-    for i in range(1, i_max + 1):
-        bound = g_fn(i << (i + 3))
-        # need (d + tau)/2 > bound, i.e. tau > 2*bound - d
-        lo = max(1, 2 * bound - d + 1)
-        if lo % 2 != d % 2:
-            lo += 1
-        weights[i] = lo
-        d = (d + lo) // 2
+        w = max(1, t * (2 * bound(i << (i + 3)) - s) + 1)
+        w += (w - s) % 2
+        weights[i] = w
+        s = (s + t * w) // 2
     return weights

@@ -79,21 +79,26 @@ def stair_members(r: int, lo, hi, cap: int = DEFAULT_MEMBER_CAP) -> List[Dyadic]
     def frac_ceil(q: Fraction) -> int:
         return -((-q.numerator) // q.denominator)
 
-    n_lo = lo.numerator // lo.denominator
-    # the members of [floor(lo), ceil(hi)[, a cover of the window
-    if stair_count_upto(r, frac_ceil(hi)) - stair_count_upto(r, n_lo) > cap:
+    def span(n: int):
+        # k and the numerators [a_lo, a_hi[ of the members n + a/2^k in the window
+        k = (stair_decompose(n)[0] + 1) * r
+        scale = 1 << k
+        return k, max(0, frac_ceil((lo - n) * scale)), min(scale, frac_ceil((hi - n) * scale))
+
+    n_lo, n_hi = lo.numerator // lo.denominator, frac_ceil(hi)
+    # whole unit intervals strictly inside the cover [n_lo, n_hi[, then
+    # the members of its first and last interval, counted exactly
+    count = max(0, stair_count_upto(r, n_hi - 1) - stair_count_upto(r, n_lo + 1))
+    for n in {n_lo, n_hi - 1} - {0}:
+        _, a_lo, a_hi = span(n)
+        count += max(0, a_hi - a_lo)
+    if count > cap:
         raise CapExceeded("staircase window too large to enumerate", cap)
     out: List[Dyadic] = []
-    n = max(1, n_lo)
-    while n < hi:
-        m, _ = stair_decompose(n)
-        k = (m + 1) * r
-        scale = 1 << k
-        a_lo = max(0, frac_ceil((lo - n) * scale))
-        a_hi = min(scale, frac_ceil((hi - n) * scale))
+    for n in range(max(1, n_lo), n_hi):
+        k, a_lo, a_hi = span(n)
         base = n << k
         out.extend(Dyadic(base + a, k) for a in range(a_lo, a_hi))
-        n += 1
     return out
 
 
@@ -161,8 +166,8 @@ def contradiction_table(
     The lower bound is f(y1) + sum_{i=1}^{y2-1} f(i*y1), which never
     exceeds the exact box count.
     """
-    if r < 1 or y1 < 1:
-        raise UsageError("contradiction_table needs r, y1 >= 1")
+    if r < 1 or y1 < 1 or d < 1:
+        raise UsageError("contradiction_table needs r, y1, d >= 1")
     rows = []
     for y2 in y2_list:
         if y2 < 1:

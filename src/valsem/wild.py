@@ -23,12 +23,13 @@ its header.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .errors import UsageError, VerificationError
 from .exact import SQRT2, Dyadic, LexVec, QuadReal, format_scalar
-from .genseq import SeqFamily, ValuationDef, choose_sigma, choose_tau
+from .genseq import SeqFamily, ValuationDef, choose_weights
 from .gensemi import DEFAULT_STATE_CAP, GenSemigroup
 
 # kind -> (valuation form, its families in family order)
@@ -138,19 +139,17 @@ def block_index(e: int, n: int) -> int:
 
 
 def _chains(kind: str, f, g):
-    """The kind's form and, per family, (family kind, bound, sense, weight
-    chooser): a P chain is held below f, a Q chain above g."""
+    """The kind's form and, per family, (family kind, bound, sense): a P
+    chain is held below f, a Q chain above g."""
     if kind not in FORMS:
         raise UsageError(f"unknown wildness kind {kind!r}")
     form, fams = FORMS[kind]
     chains = []
     for fk in fams:
-        name, bound, sense, choose = (
-            ("f", f, operator.lt, choose_sigma) if fk == "P" else ("g", g, operator.gt, choose_tau)
-        )
+        name, bound, sense = ("f", f, operator.lt) if fk == "P" else ("g", g, operator.gt)
         if bound is None:
             raise UsageError(f"the {kind} kind needs the bound {name}")
-        chains.append((fk, bound, sense, choose))
+        chains.append((fk, bound, sense))
     return form, chains
 
 
@@ -176,7 +175,7 @@ def make_wild_valuation(
     the kind's valuation form."""
     form, chains = _chains(kind, f, g)
     i_hi = block_index(_block_scale(chains, params, N), N)
-    fams = {fk.lower(): SeqFamily(fk, choose(bound, i_hi)) for fk, bound, _, choose in chains}
+    fams = {fk.lower(): SeqFamily(fk, choose_weights(fk, bound, i_hi)) for fk, bound, _ in chains}
     return ValuationDef(form, **fams)
 
 
@@ -208,7 +207,7 @@ def wild_certificate(
     _, chains = _chains(kind, f, g)
     e = _block_scale(chains, params, N)
     i_hi = block_index(e, N)
-    chains = [(getattr(vdef, fk.lower()), bound, sense) for fk, bound, sense, _ in chains]
+    chains = [(getattr(vdef, fk.lower()), bound, sense) for fk, bound, sense in chains]
     for fam, _, _ in chains:
         if fam is None:
             raise UsageError(f"valuation form {vdef.form} lacks a needed family")
@@ -261,6 +260,10 @@ def wild_certificate(
     return cert
 
 
+# neg_pow(k), pow(k), neg_pow:k, pow:k with k in ASCII digits
+_POW_BOUND = re.compile(r"(neg_)?pow(?:\(([0-9]+)\)|:([0-9]+))")
+
+
 def parse_bound(descr: str) -> Callable[[int], int]:
     """Bound functions from a short descriptor.
 
@@ -268,22 +271,16 @@ def parse_bound(descr: str) -> Callable[[int], int]:
     (also spelled ``neg_pow:k`` / ``pow:k``), and ``table:FILE`` where
     FILE holds whitespace-separated ``n value`` pairs, one per line.
     """
-    descr = descr.strip()
     if descr == "neg_linear":
         return lambda n: -n
     if descr == "linear":
         return lambda n: n
-    for name, sign in (("neg_pow", -1), ("pow", 1)):
-        for fmt in (f"{name}(", f"{name}:"):
-            if descr.startswith(fmt):
-                arg = descr[len(fmt):].rstrip(")")
-                try:
-                    k = int(arg)
-                except ValueError:
-                    raise UsageError(f"bad exponent in bound descriptor {descr!r}")
-                if k < 1:
-                    raise UsageError("bound exponent must be positive")
-                return lambda n, k=k, sign=sign: sign * n**k
+    m = _POW_BOUND.fullmatch(descr)
+    if m:
+        sign, k = -1 if m[1] else 1, int(m[2] or m[3])
+        if k < 1:
+            raise UsageError("bound exponent must be positive")
+        return lambda n: sign * n**k
     if descr.startswith("table:"):
         path = descr[len("table:"):]
         table: Dict[int, int] = {}

@@ -87,12 +87,12 @@ def test_criterion_3_key_identities():
     tau = [rng.randint(1, 9) for _ in range(7)]
     v = ValuationDef.combined(sigma, tau)
     for i in range(1, 7):
-        assert check_key_identity(v, i, symbolic=True)
+        assert check_key_identity(v, i)
     sigma64 = [rng.randint(1, 9) for _ in range(65)]
     tau64 = [rng.randint(1, 9) for _ in range(65)]
     v64 = ValuationDef.combined(sigma64, tau64)
     for i in range(1, 65):
-        assert check_key_identity(v64, i, symbolic=False)
+        assert check_key_identity(v64, i)
     for i in range(65):
         assert eta(i) == eta_closed(i)
         assert eta(i).as_fraction() == Fraction(2 ** (i + 2) - Fraction(1, 2**i), 3)

@@ -201,6 +201,12 @@ class TestExample3:
         code, out, err = run(capsys, "example3", "--y2-max", y2_max)
         assert code == 2 and out == "" and "--y2-max" in err
 
+    @pytest.mark.parametrize("d", ["0", "-5"])
+    def test_d_below_one_is_usage_error(self, capsys, d):
+        # a claimed bound of d <= 0 is crossed trivially and certifies nothing
+        code, out, err = run(capsys, "example3", "--d", d, "--y2-max", "4")
+        assert code == 2 and out == "" and "d >= 1" in err
+
 
 class TestWild:
     def test_valid_certificate(self, capsys):
@@ -358,7 +364,7 @@ _scalar_text = _mostly(
 )
 _bound = _mostly(
     st.sampled_from(["neg_linear", "linear", "pow(2)", "neg_pow:3"]),
-    st.sampled_from(["pow(0)", "pow(x)", "mystery", "table:/nonexistent"]),
+    st.sampled_from(["pow(0)", "pow(x)", "pow(2", "pow:2)", "mystery", "table:/nonexistent"]),
 )
 
 

@@ -6,16 +6,13 @@ import pytest
 from valsem.errors import UsageError
 from valsem.exact import Dyadic, QuadReal
 from valsem.genseq import (
-    ExpTerm,
     SeqFamily,
     ValuationDef,
     check_key_identity,
-    choose_sigma,
-    choose_tau,
+    choose_weights,
     eta,
     eta_closed,
     expand,
-    normalize_product,
     reconstruct,
     term_value,
     valuate,
@@ -197,42 +194,6 @@ class TestValuation:
                 assert vs == min(vf, vg)
 
 
-class TestNormalizeProduct:
-    def test_matches_expand(self):
-        rng = random.Random(41)
-
-        def exps():
-            # one exponent >= 2 above index 0, so every slot needs the identity
-            out = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
-            out[rng.randrange(1, len(out))] = rng.randint(2, 3)
-            return tuple(out)
-
-        for v in (
-            ValuationDef.p3(SIGMA_LONG),
-            ValuationDef.q3([1, 3, 5, 2]),
-            ValuationDef.combined([2, 5, 3, 7], [1, 3, 5, 2]),
-        ):
-            for _ in range(50):
-                terms = []
-                for _ in range(rng.randint(1, 3)):
-                    coeff = LaurentZ.term(rng.randint(1, 5), rng.randint(-2, 2))
-                    terms.append(ExpTerm(
-                        coeff,
-                        alpha=exps() if v.p is not None else (),
-                        beta=exps() if v.q is not None else (),
-                    ))
-                f = reconstruct(v, terms)
-                if f.is_zero():
-                    continue
-                assert normalize_product(v, terms) == expand(v, f)
-
-    def test_q_substitution(self):
-        v = ValuationDef.q3([3, 5])
-        terms = [ExpTerm(LaurentZ.one(), beta=(0, 2))]  # v^2
-        out = normalize_product(v, terms)
-        assert out == expand(v, parse_poly("v^2"))
-
-
 class TestKeyIdentities:
     def test_arithmetic_and_symbolic(self):
         v = ValuationDef.combined(SIGMA_LONG + [11], [1, 3, 5, 2, 6, 4, 8])
@@ -244,7 +205,8 @@ class TestKeyIdentities:
         second = fam.second
         monkeypatch.setattr(fam, "second", lambda i: Dyadic(17) if i == 2 else second(i))
         v = ValuationDef("P3", p=fam)
-        assert not check_key_identity(v, 2, symbolic=False)
+        # fails on the arithmetic check, before any polynomial is valued
+        assert not check_key_identity(v, 2)
 
     def test_index_validation(self):
         v = ValuationDef.p3(SIGMA)
@@ -254,37 +216,37 @@ class TestKeyIdentities:
 
 class TestChooseWeights:
     def test_worked_example(self):
-        w = choose_sigma(lambda n: -n, 3)
+        w = choose_weights("P", lambda n: -n, 3)
         assert w[1] == 34
         fam = SeqFamily("P", w)
         assert fam.second(1) == Dyadic(-17)
 
-    def test_minimality_and_integrality(self):
-        f = lambda n: -n
-        w = choose_sigma(f, 6)
-        fam = SeqFamily("P", w)
+    @staticmethod
+    def check_minimal(kind, bound, beyond):
+        w = choose_weights(kind, bound, 6)
+        fam = SeqFamily(kind, w)
         for i in range(1, 7):
-            g_i = fam.second(i)
-            assert g_i.is_integer()
-            assert g_i < f(i << (i + 3))
+            s_i = fam.second(i)
+            assert s_i.is_integer()
+            assert beyond(s_i, bound(i << (i + 3)))
             # one smaller admissible weight (same parity) would break it
             w2 = dict(w)
             w2[i] -= 2
             if w2[i] >= 1:
-                fam2 = SeqFamily("P", w2)
-                assert not fam2.second(i) < f(i << (i + 3))
+                assert not beyond(SeqFamily(kind, w2).second(i), bound(i << (i + 3)))
 
-    def test_choose_tau(self):
-        g = lambda n: n
-        w = choose_tau(g, 6)
-        fam = SeqFamily("Q", w)
-        for i in range(1, 7):
-            d_i = fam.second(i)
-            assert d_i.is_integer()
-            assert d_i > g(i << (i + 3))
+    def test_minimality_and_integrality(self):
+        self.check_minimal("P", lambda n: -n, lambda s, b: s < b)
+
+    def test_q_family_above_bound(self):
+        self.check_minimal("Q", lambda n: n, lambda s, b: s > b)
 
     def test_large_bounds(self):
-        w = choose_sigma(lambda n: -(n**2), 12)
+        w = choose_weights("P", lambda n: -(n**2), 12)
         fam = SeqFamily("P", w)
         for i in (1, 6, 12):
             assert fam.second(i) < -((i << (i + 3)) ** 2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(UsageError):
+            choose_weights("R", lambda n: n, 2)

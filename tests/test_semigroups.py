@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from valsem import semigroups
 from valsem.errors import CapExceeded, UsageError
 from valsem.exact import Dyadic
 from valsem.semigroups import (
@@ -105,6 +106,28 @@ class TestStaircase:
         # 2^60 members: refused before any is built
         with pytest.raises(CapExceeded):
             stair_members(1, Fraction(1, 3), 1 << 30)
+
+    def test_members_cap_counts_partial_intervals(self, monkeypatch):
+        # [6001/2, 3001[ is the upper half of [3000, 3001[: 2^11 members
+        got = stair_members(1, Fraction(6001, 2), 3001, cap=3000)
+        assert len(got) == 2048 and got[0] == Fraction(6001, 2)
+
+        class Unbuilt(Dyadic):
+            __slots__ = ()
+
+            def __init__(self, *_):
+                raise AssertionError("a member was built before the cap check")
+
+        with monkeypatch.context() as m:
+            m.setattr(semigroups, "Dyadic", Unbuilt)
+            with pytest.raises(CapExceeded):
+                stair_members(1, Fraction(6001, 2), 3001, cap=2047)
+        # partial intervals at both ends and whole ones in between
+        for lo, hi in ((Fraction(5, 2), Fraction(27, 4)), (Fraction(1, 3), Fraction(7, 3))):
+            n = len(stair_members(2, lo, hi))
+            assert len(stair_members(2, lo, hi, cap=n)) == n
+            with pytest.raises(CapExceeded):
+                stair_members(2, lo, hi, cap=n - 1)
 
     def test_membership_and_closure(self):
         rng = random.Random(9)

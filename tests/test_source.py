@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import valsem
@@ -17,8 +18,11 @@ def _top_level_name(stmt):
         return stmt.name
     if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
         target = stmt.targets[0]
-        return target.id if isinstance(target, ast.Name) else None
-    return None
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
 
 
 def test_library_has_no_assert_statements():
@@ -58,3 +62,18 @@ def test_exports_are_referenced():
     for path in texts:
         words |= set(re.findall(r"\w+", path.read_text()))
     assert sorted(set(valsem.__all__) - words - {"ValsemError"}) == []
+
+
+def test_private_names_are_used():
+    # a module-level _name that occurs once is its own definition: a
+    # helper or constant that a deletion left behind
+    paths = sorted(SRC.glob("*.py"))
+    uses = Counter(w for path in paths for w in re.findall(r"\w+", path.read_text()))
+    found = [
+        f"{path.name}:{name}"
+        for path in paths
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for name in [_top_level_name(stmt)]
+        if name and name.startswith("_") and not name.startswith("__") and uses[name] < 2
+    ]
+    assert found == []

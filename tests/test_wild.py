@@ -250,6 +250,8 @@ class TestParseBound:
         assert parse_bound("linear")(7) == 7
         assert parse_bound("neg_pow(2)")(5) == -25
         assert parse_bound("pow:3")(2) == 8
+        assert parse_bound("pow(10)")(2) == 1024
+        assert parse_bound("neg_pow:3")(2) == -8
 
     def test_table(self, tmp_path):
         p = tmp_path / "bounds.txt"
@@ -258,6 +260,14 @@ class TestParseBound:
         assert fn(9) == -120
         with pytest.raises(UsageError, match="n=11"):
             fn(11)
+
+    @pytest.mark.parametrize(
+        "descr", ["pow(2", "pow:2)", "pow(2)))", "pow(+3)", "pow( 2 )", "pow(1_0)", "pow:",
+                  " linear", "neg_pow()", "neg_pow(0)", "pow(２)", "Pow(2)", "pow(2) "]
+    )
+    def test_malformed_rejected(self, descr):
+        with pytest.raises(UsageError):
+            parse_bound(descr)
 
     def test_errors(self, tmp_path):
         with pytest.raises(UsageError):
