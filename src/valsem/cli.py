@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import CapExceeded, ParseError, UsageError, VerificationError
 from .exact import Dyadic, QuadReal, format_lexvec, format_scalar, parse_scalar
 from .genseq import (
-    SeqFamily,
     ValuationDef,
     check_key_identity,
     eta,
@@ -27,7 +26,7 @@ from .genseq import (
     expand,
     valuate,
 )
-from .gensemi import DEFAULT_STATE_CAP, GenSemigroup, box_bound_check
+from .gensemi import DEFAULT_STATE_CAP, box_bound_check, box_semigroup
 from .poly import MPoly, format_poly, parse_poly
 from .semigroups import contradiction_table, stair_count, stair_members
 from .wild import FORMS, WildParams, make_wild_valuation, parse_bound, wild_certificate
@@ -137,8 +136,6 @@ def _load_poly(args) -> MPoly:
 def cmd_valuate(args) -> int:
     vdef = _vdef_from_args(args)
     f = _load_poly(args)
-    if f.is_zero():
-        raise UsageError("the zero polynomial has no value")
     res = valuate(vdef, f)
     if args.format == "json":
         _emit_json(
@@ -151,8 +148,6 @@ def cmd_valuate(args) -> int:
             },
         )
         return 0
-    if args.format == "csv":
-        raise UsageError("valuate does not produce CSV; use json or pretty")
     lines = [format_lexvec(res.value)]
     if args.approx:
         lines[0] += f"   [approx {_approx_vec(res.value)}]"
@@ -167,8 +162,6 @@ def cmd_valuate(args) -> int:
 def cmd_expand(args) -> int:
     vdef = _vdef_from_args(args)
     f = _load_poly(args)
-    if f.is_zero():
-        raise UsageError("the zero polynomial has no expansion")
     terms = expand(vdef, f)
     if args.format == "json":
         _emit_json(
@@ -180,28 +173,21 @@ def cmd_expand(args) -> int:
             },
         )
         return 0
-    if args.format == "csv":
-        raise UsageError("expand does not produce CSV; use json or pretty")
     _emit(args, "\n".join(_format_term(vdef, t) for t in terms))
     return 0
 
 
 def _named_semigroup(vdef: ValuationDef):
     """The generated sub-semigroup plus a value -> generator-name map."""
-    named = vdef.generators()
-    sg = GenSemigroup(vdef.group, [v for _, v in named])
     names = {}
-    for name, v in named:
+    for name, v in vdef.generators():
         names.setdefault(v, name)
-    return sg, names
+    return box_semigroup(vdef), names
 
 
 def _parse_lambda(text: str):
-    text = text.strip()
-    if "sqrt2" in text:
-        return parse_scalar(text, "quad")
     try:
-        return parse_scalar(text, "dyadic")
+        return parse_scalar(text)
     except ParseError:
         pass
     try:
@@ -234,8 +220,6 @@ def cmd_tilde(args) -> int:
             },
         )
         return 0
-    if args.format == "csv":
-        raise UsageError("tilde does not produce CSV; use json or pretty")
     line = f"{format_lexvec(entry.tilde)}, witness {witness}"
     if args.approx:
         line += f"   [approx {_approx_vec(entry.tilde)}]"
@@ -319,15 +303,13 @@ def cmd_wild(args) -> int:
     g = parse_bound(args.g) if args.g else parse_bound("linear")
     if args.sigma or args.tau:
         vdef = _vdef_from_args(args)
-        form, fams = FORMS[args.kind]
-        if vdef.form != form:
+        fams = FORMS[args.kind]
+        if "".join(fam.kind for fam in vdef.families()) != fams:
             flags = " and ".join({"P": "--sigma", "Q": "--tau"}[fk] for fk in fams)
             raise UsageError(f"the {args.kind} kind expects {flags} weights only")
     else:
         vdef = make_wild_valuation(args.kind, f=f, g=g, N=args.N, params=params)
-    cert = wild_certificate(
-        args.kind, vdef, params, f=f, g=g, N=args.N, tilde_cap=args.max_states
-    )
+    cert = wild_certificate(vdef, params, f=f, g=g, N=args.N, tilde_cap=args.max_states)
     if args.format == "csv":
         header = ["n", "i", "chain", "lambda", "witness", "lhs", "rhs", "ok"]
         _emit_csv(
@@ -379,7 +361,6 @@ def cmd_selftest(args) -> int:
     report = box_bound_check(vdef, 4, 4)
     check("box count within bound at (4, 4)", report.ok)
     cert = wild_certificate(
-        "decreasing",
         make_wild_valuation("decreasing", f=lambda n: -n, N=64),
         WildParams(),
         f=lambda n: -n,
@@ -389,14 +370,18 @@ def cmd_selftest(args) -> int:
     return 0 if not failures else 1
 
 
-def _add_common(sp, with_poly=False, with_weights=True):
+_FORMATS = ("json", "csv", "pretty")
+_NO_CSV = ("json", "pretty")
+
+
+def _add_common(sp, formats, with_poly=False, with_weights=True):
     if with_weights:
         sp.add_argument("--sigma", help="comma-separated P-family weights")
         sp.add_argument("--tau", help="comma-separated Q-family weights")
     if with_poly:
         sp.add_argument("--poly", help="polynomial text")
         sp.add_argument("--poly-file", help="file containing polynomial text")
-    sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    sp.add_argument("--format", choices=formats, default="pretty")
     sp.add_argument("--out", help="write output to FILE instead of stdout")
 
 
@@ -418,30 +403,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("valuate", help="value and expansion of a polynomial")
-    _add_common(sp, with_poly=True)
+    _add_common(sp, _NO_CSV, with_poly=True)
     _add_approx(sp)
     sp.set_defaults(func=cmd_valuate)
 
     sp = sub.add_parser("expand", help="canonical expansion of a polynomial")
-    _add_common(sp, with_poly=True)
+    _add_common(sp, _NO_CSV, with_poly=True)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("tilde", help="tilde value of a first coordinate")
-    _add_common(sp)
+    _add_common(sp, _NO_CSV)
     _add_cap(sp)
     _add_approx(sp)
     sp.add_argument("--lambda", required=True, help="first-coordinate value")
     sp.set_defaults(func=cmd_tilde)
 
     sp = sub.add_parser("count", help="pseudo-box count against the growth bound")
-    _add_common(sp)
+    _add_common(sp, _FORMATS)
     _add_cap(sp)
     sp.add_argument("--y1", type=int, required=True)
     sp.add_argument("--y2", type=int, required=True)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("example3", help="staircase semigroup contradiction table")
-    _add_common(sp, with_weights=False)
+    _add_common(sp, _FORMATS, with_weights=False)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--y1", type=int, default=64)
     sp.add_argument("--y2-max", type=int, default=4096)
@@ -449,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_example3)
 
     sp = sub.add_parser("wild", help="wild tilde certificate")
-    _add_common(sp)
+    _add_common(sp, _FORMATS)
     _add_cap(sp)
     sp.add_argument("--kind", choices=tuple(FORMS), required=True)
     sp.add_argument("--f", help="bound descriptor for the decreasing chain")

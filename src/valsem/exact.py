@@ -405,7 +405,7 @@ def format_lexvec(v: LexVec) -> str:
     return f"({format_scalar(v.first)}, {format_scalar(v.second)})"
 
 
-def _parse_dyadic(text: str, pos: int) -> Dyadic:
+def _parse_dyadic(text: str) -> Dyadic:
     text = text.strip()
     if "/" in text:
         mant, _, den = text.partition("/")
@@ -415,49 +415,48 @@ def _parse_dyadic(text: str, pos: int) -> Dyadic:
             try:
                 return Dyadic.from_fraction(Fraction(text))
             except (ValueError, ZeroDivisionError, UsageError):
-                raise ParseError(f"bad dyadic {text!r}", pos) from None
+                raise ParseError(f"bad dyadic {text!r}", 0) from None
         try:
             return Dyadic(int(mant), int(den[2:]))
         except ValueError:
-            raise ParseError(f"bad dyadic {text!r}", pos) from None
+            raise ParseError(f"bad dyadic {text!r}", 0) from None
     try:
         return Dyadic(int(text))
     except ValueError:
-        raise ParseError(f"bad dyadic {text!r}", pos) from None
+        raise ParseError(f"bad dyadic {text!r}", 0) from None
 
 
-def parse_scalar(text: str, kind: str, pos: int = 0):
-    """Parse one coordinate value of kind "dyadic" or "quad"."""
+def parse_scalar(text: str):
+    """Parse one coordinate value: a QuadReal if the text has a sqrt2
+    part, else a Dyadic."""
     text = text.strip()
-    if kind == "dyadic":
-        return _parse_dyadic(text, pos)
-    if kind == "quad":
-        rat, surd = Dyadic(0), Dyadic(0)
-        # split on '+'/'-' at top level, keeping signs
-        chunks = []
-        cur = ""
-        for ch in text:
-            if ch in "+-" and cur.strip() and cur.rstrip()[-1] not in "^/*+-":
-                chunks.append(cur)
-                cur = ch
-            else:
-                cur += ch
-        chunks.append(cur)
-        for chunk in chunks:
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            sign = 1
-            while chunk and chunk[0] in "+-":
-                if chunk[0] == "-":
-                    sign = -sign
-                chunk = chunk[1:].strip()
-            if chunk.endswith("sqrt2"):
-                body = chunk[: -len("sqrt2")].rstrip()
-                body = body[:-1].rstrip() if body.endswith("*") else body
-                coeff = _parse_dyadic(body, pos) if body else Dyadic(1)
-                surd = surd + sign * coeff
-            else:
-                rat = rat + sign * _parse_dyadic(chunk, pos)
-        return QuadReal(rat, surd)
-    raise UsageError(f"unknown scalar kind {kind!r}")
+    if "sqrt2" not in text:
+        return _parse_dyadic(text)
+    rat, surd = Dyadic(0), Dyadic(0)
+    # split on '+'/'-' at top level, keeping signs
+    chunks = []
+    cur = ""
+    for ch in text:
+        if ch in "+-" and cur.strip() and cur.rstrip()[-1] not in "^/*+-":
+            chunks.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    chunks.append(cur)
+    for chunk in chunks:
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        sign = 1
+        while chunk and chunk[0] in "+-":
+            if chunk[0] == "-":
+                sign = -sign
+            chunk = chunk[1:].strip()
+        if chunk.endswith("sqrt2"):
+            body = chunk[: -len("sqrt2")].rstrip()
+            body = body[:-1].rstrip() if body.endswith("*") else body
+            coeff = _parse_dyadic(body) if body else Dyadic(1)
+            surd = surd + sign * coeff
+        else:
+            rat = rat + sign * _parse_dyadic(chunk)
+    return QuadReal(rat, surd)

@@ -45,7 +45,6 @@ def _lattice(x) -> Optional[Tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class TildeEntry:
-    lam: object  # first-coordinate scalar
     tilde: LexVec
     witness: Tuple[int, ...]  # exponents over the semigroup's generators
 
@@ -92,7 +91,6 @@ class GenSemigroup:
         scs = [g.second for g in seen]
         self._fk = max((k for _, _, k in fcs), default=0)
         self._sk = max((sc.k for sc in scs), default=0)
-        self.pos, self.zeros = [], []
         self._pos_at = []  # index in generators of each positive generator
         self._pos_ints, self._zero_ints = [], []
         for i, (g, (p, q, k), sc) in enumerate(zip(seen, fcs, scs)):
@@ -100,13 +98,11 @@ class GenSemigroup:
                 raise UsageError(f"generator {g} has a negative first-coordinate part")
             s = sc.num << (self._sk - sc.k)
             if p or q:
-                self.pos.append(g)
                 self._pos_at.append(i)
                 self._pos_ints.append((p << (self._fk - k), q << (self._fk - k), s))
             elif s <= 0:
                 raise UsageError(f"generator {g} with zero first coordinate must be positive")
             else:
-                self.zeros.append(g)
                 self._zero_ints.append(s)
         # for each i, the generator among positive ones i.. with the least
         # ratio s/(p + q*sqrt2), which bounds what a tilde search can add
@@ -149,7 +145,7 @@ class GenSemigroup:
         if tp < 0 or tq < 0 or tk > self._fk:
             return None  # sums of the generators never leave their lattice
         if not (tp or tq):
-            return TildeEntry(lam, self.spec.zero(), (0,) * len(self.generators))
+            return TildeEntry(self.spec.zero(), (0,) * len(self.generators))
         gens, fk = self._pos_ints, self._fk
         tp <<= fk - tk
         tq <<= fk - tk
@@ -196,7 +192,7 @@ class GenSemigroup:
         witness = [0] * len(self.generators)
         for i, e in zip(self._pos_at, pos_exps):
             witness[i] = e
-        return TildeEntry(lam, self._decode(tp, tq, fk, sc, self._sk), tuple(witness))
+        return TildeEntry(self._decode(tp, tq, fk, sc, self._sk), tuple(witness))
 
     # -- boxes ----------------------------------------------------------
 
@@ -311,20 +307,13 @@ def box_semigroup(vdef) -> GenSemigroup:
     return GenSemigroup(vdef.group, [value for _, value in vdef.generators()])
 
 
-def box_bound_check(
-    vdef,
-    y1: int,
-    y2: int,
-    dims=(1, 2),
-    mults=(1, 1, 1),
-    epsilon=1,
-    cap: int = DEFAULT_STATE_CAP,
-) -> BoxBoundReport:
+def box_bound_check(vdef, y1: int, y2: int, cap: int = DEFAULT_STATE_CAP) -> BoxBoundReport:
     """Compare the enumerated sub-semigroup count over the pseudo-box
-    with the polynomial growth bound; a count above the bound would
-    falsify consistency."""
+    with the polynomial growth bound of Theorem 1 for dimensions (1, 2),
+    multiplicities (1, 1, 1) and epsilon 1; a count above the bound
+    would falsify consistency."""
     sg = box_semigroup(vdef)
     box = Box(y1, y2, vdef.t1(), vdef.t2())
     count = sg.count_box(box, cap)
-    bound = theorem1_bound(dims, mults, (y1, y2), epsilon)
+    bound = theorem1_bound((1, 2), (1, 1, 1), (y1, y2), 1)
     return BoxBoundReport(y1, y2, count, bound, Fraction(count) <= bound)

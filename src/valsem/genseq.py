@@ -52,8 +52,8 @@ def eta_closed(i: int) -> Dyadic:
 class SeqFamily:
     """One generating-sequence family with cached polynomials and values.
 
-    ``weights[i]`` is sigma(i) for a P family or tau(i) for a Q family,
-    defined for i >= 1.  Everything else reads the family through its
+    ``weights[i - 1]`` is sigma(i) for a P family or tau(i) for a Q
+    family, for i >= 1.  Everything else reads the family through its
     root variable and its shifts (a_i, b_i) in the identity
     z^a_i * M_i^2 = M_{i+1} + z^b_i * root^(2^(i+1)) * M_{i-1}.
     """
@@ -61,13 +61,11 @@ class SeqFamily:
     def __init__(self, kind: str, weights):
         if kind not in ("P", "Q"):
             raise UsageError(f"unknown family kind {kind!r}")
-        if not isinstance(weights, dict):
-            weights = {i + 1: w for i, w in enumerate(weights)}
-        for i, w in weights.items():
-            if i < 1 or w < 0 or (kind == "Q" and w < 1):
+        self.weights = list(weights)
+        for i, w in enumerate(self.weights, start=1):
+            if w < 0 or (kind == "Q" and w < 1):
                 raise UsageError(f"invalid weight {w} at index {i}")
         self.kind = kind
-        self.weights = dict(weights)
         self.root, top = ("x", "y") if kind == "P" else ("u", "v")
         self.main0, self.main1 = VAR_INDEX[self.root], VAR_INDEX[top]
         self._polys: List[MPoly] = [MPoly.var(self.root), MPoly.var(top)]
@@ -76,12 +74,12 @@ class SeqFamily:
 
     @property
     def max_index(self) -> int:
-        return max(self.weights, default=0)
+        return len(self.weights)
 
     def weight(self, i: int) -> int:
-        if i not in self.weights:
+        if not 1 <= i <= len(self.weights):
             raise UsageError(f"weight at index {i} is not defined for this family")
-        return self.weights[i]
+        return self.weights[i - 1]
 
     def shifts(self, i: int) -> Tuple[int, int]:
         """(a_i, b_i): the z exponents on M_i^2 and on root^(2^(i+1)) * M_{i-1}."""
@@ -161,37 +159,33 @@ def _slot(fam: SeqFamily) -> str:
 class ValuationDef:
     """A rank-2 valuation defined by one or two generating families.
 
-    Forms: "P3" (x, y, z), "Q3" (u, v, z), "C5" (all five variables,
-    value group with a sqrt(2) first coordinate).  The first coordinate
-    of a value is read through ``first``: in C5 the P part is its
-    rational part and the Q part its sqrt(2) part.
+    The families present fix the form: "P3" (x, y, z), "Q3" (u, v, z)
+    or "C5" (all five variables, value group with a sqrt(2) first
+    coordinate).  The first coordinate of a value is read through
+    ``first``: in C5 the P part is its rational part and the Q part its
+    sqrt(2) part.
     """
 
-    def __init__(self, form: str, p: Optional[SeqFamily] = None, q: Optional[SeqFamily] = None):
-        if form not in ("P3", "Q3", "C5"):
-            raise UsageError(f"unknown valuation form {form!r}")
-        if form == "P3" and (p is None or p.kind != "P" or q is not None):
-            raise UsageError("P3 form takes exactly one P family")
-        if form == "Q3" and (q is None or q.kind != "Q" or p is not None):
-            raise UsageError("Q3 form takes exactly one Q family")
-        if form == "C5" and (p is None or q is None or p.kind != "P" or q.kind != "Q"):
-            raise UsageError("C5 form takes one P family and one Q family")
-        self.form = form
+    def __init__(self, p: Optional[SeqFamily] = None, q: Optional[SeqFamily] = None):
+        wrong_kind = (p is not None and p.kind != "P") or (q is not None and q.kind != "Q")
+        if (p is None and q is None) or wrong_kind:
+            raise UsageError("a valuation takes a P family, a Q family or one of each")
         self.p = p
         self.q = q
-        self.group: GroupSpec = QUAD2 if form == "C5" else DYADIC2
+        self.form = "Q3" if p is None else "P3" if q is None else "C5"
+        self.group: GroupSpec = QUAD2 if self.form == "C5" else DYADIC2
 
     @staticmethod
     def p3(sigma) -> "ValuationDef":
-        return ValuationDef("P3", p=SeqFamily("P", sigma))
+        return ValuationDef(p=SeqFamily("P", sigma))
 
     @staticmethod
     def q3(tau) -> "ValuationDef":
-        return ValuationDef("Q3", q=SeqFamily("Q", tau))
+        return ValuationDef(q=SeqFamily("Q", tau))
 
     @staticmethod
     def combined(sigma, tau) -> "ValuationDef":
-        return ValuationDef("C5", p=SeqFamily("P", sigma), q=SeqFamily("Q", tau))
+        return ValuationDef(SeqFamily("P", sigma), SeqFamily("Q", tau))
 
     def allowed_vars(self) -> Tuple[int, ...]:
         return tuple(i for fam in self.families() for i in (fam.main0, fam.main1))
@@ -244,9 +238,9 @@ class ValuationDef:
     def descriptor(self) -> dict:
         out = {"form": self.form}
         if self.p is not None:
-            out["sigma"] = [self.p.weights[i] for i in sorted(self.p.weights)]
+            out["sigma"] = list(self.p.weights)
         if self.q is not None:
-            out["tau"] = [self.q.weights[i] for i in sorted(self.q.weights)]
+            out["tau"] = list(self.q.weights)
         return out
 
 
@@ -412,23 +406,24 @@ def _r_exps(i: int) -> List[int]:
     return exps
 
 
-def choose_weights(kind: str, bound: Callable[[int], int], i_max: int) -> Dict[int, int]:
+def choose_weights(kind: str, bound: Callable[[int], int], i_max: int) -> List[int]:
     """Minimal weights w_i making each s_i integral and beyond
     bound(i*2^(i+3)): below it for a P family, above it for a Q family.
 
     With t = -1 for P and +1 for Q the recursion reads
     s_i = (s_{i-1} + t*w_i) / 2, so s_i is beyond the bound exactly when
     w_i > t*(2*bound - s_{i-1}), and integral when w_i has the parity of
-    s_{i-1}; minimality is over positive integers.
+    s_{i-1}; minimality is over positive integers.  w_i is at position
+    i - 1 of the list.
     """
     if kind not in ("P", "Q"):
         raise UsageError(f"unknown family kind {kind!r}")
     t = -1 if kind == "P" else 1
-    weights: Dict[int, int] = {}
+    weights: List[int] = []
     s = 0  # s_{i-1}, an integer by construction
     for i in range(1, i_max + 1):
         w = max(1, t * (2 * bound(i << (i + 3)) - s) + 1)
         w += (w - s) % 2
-        weights[i] = w
+        weights.append(w)
         s = (s + t * w) // 2
     return weights

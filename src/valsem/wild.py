@@ -5,10 +5,10 @@ For a valuation built from weights chosen against a decreasing bound f
 n in a range, the exact inequality chain that forces the tilde function
 below f(n) (or above g(n)) at a witness lambda below n.
 
-The kind table ``FORMS`` names, for each kind, the valuation form it is
-certified on; the form's families are its chains, a P chain held below
-f and a Q chain above g.  The parameters (a, a2, c) describe the scaling
-map omega onto an equivalent valuation,
+The kind table ``FORMS`` names, for each kind, the family kinds of the
+valuation it is certified on; the valuation's families are its chains,
+a P chain held below f and a Q chain above g.  The parameters (a, a2, c)
+describe the scaling map omega onto an equivalent valuation,
 
     omega(first, second) = (a*part_0 + a2*part_1*sqrt2, c*second),
 
@@ -32,15 +32,16 @@ from .exact import SQRT2, Dyadic, LexVec, QuadReal, format_scalar
 from .genseq import SeqFamily, ValuationDef, choose_weights
 from .gensemi import DEFAULT_STATE_CAP, GenSemigroup
 
-# kind -> (valuation form, its families in family order)
-FORMS = {"decreasing": ("P3", "P"), "increasing": ("Q3", "Q"), "both": ("C5", "PQ")}
+# kind -> its family kinds in family order
+FORMS = {"decreasing": "P", "increasing": "Q", "both": "PQ"}
 TILDE_CROSS_CHECK_MAX_INDEX = 4
 
 
 @dataclass(frozen=True)
 class WildParams:
     """Parameters (a, a2, c) of the scaling map omega; a2 scales the sqrt2
-    part of a five-variable first coordinate and defaults to a."""
+    part of a five-variable first coordinate and defaults to a.  Both
+    scales are stored as Dyadic."""
 
     a: object = 1
     c: int = 1
@@ -52,20 +53,17 @@ class WildParams:
             raise UsageError("parameter a must be positive")
         if self.c < 1:
             raise UsageError("parameter c must be a positive integer")
-        if self.a2 is not None and _as_dyadic(self.a2).sign() <= 0:
+        a2 = a if self.a2 is None else _as_dyadic(self.a2)
+        if a2.sign() <= 0:
             raise UsageError("parameter a2 must be positive")
-
-    def a_value(self) -> Dyadic:
-        return _as_dyadic(self.a)
-
-    def a2_value(self) -> Dyadic:
-        return _as_dyadic(self.a2 if self.a2 is not None else self.a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a2", a2)
 
     def omega_first(self, x):
         """The first coordinate of omega: a*part_0 + a2*part_1*sqrt2."""
         if isinstance(x, QuadReal):
-            return QuadReal(self.a_value() * x.rat, self.a2_value() * x.surd)
-        return self.a_value() * x
+            return QuadReal(self.a * x.rat, self.a2 * x.surd)
+        return self.a * x
 
     def omega(self, v: LexVec) -> LexVec:
         return LexVec(self.omega_first(v.first), self.c * v.second)
@@ -139,18 +137,17 @@ def block_index(e: int, n: int) -> int:
 
 
 def _chains(kind: str, f, g):
-    """The kind's form and, per family, (family kind, bound, sense): a P
-    chain is held below f, a Q chain above g."""
+    """Per family of the kind, (family kind, bound, sense): a P chain is
+    held below f, a Q chain above g."""
     if kind not in FORMS:
         raise UsageError(f"unknown wildness kind {kind!r}")
-    form, fams = FORMS[kind]
     chains = []
-    for fk in fams:
+    for fk in FORMS[kind]:
         name, bound, sense = ("f", f, operator.lt) if fk == "P" else ("g", g, operator.gt)
         if bound is None:
             raise UsageError(f"the {kind} kind needs the bound {name}")
         chains.append((fk, bound, sense))
-    return form, chains
+    return chains
 
 
 def _block_scale(chains, params: WildParams, N: int) -> int:
@@ -172,11 +169,11 @@ def make_wild_valuation(
     params: WildParams = WildParams(),
 ) -> ValuationDef:
     """Choose weights against f/g out to the block index of N, and build
-    the kind's valuation form."""
-    form, chains = _chains(kind, f, g)
+    the valuation on the kind's families."""
+    chains = _chains(kind, f, g)
     i_hi = block_index(_block_scale(chains, params, N), N)
     fams = {fk.lower(): SeqFamily(fk, choose_weights(fk, bound, i_hi)) for fk, bound, _ in chains}
-    return ValuationDef(form, **fams)
+    return ValuationDef(**fams)
 
 
 def _scaled_semigroup(vdef: ValuationDef, params: WildParams) -> GenSemigroup:
@@ -187,7 +184,6 @@ def _scaled_semigroup(vdef: ValuationDef, params: WildParams) -> GenSemigroup:
 
 
 def wild_certificate(
-    kind: str,
     vdef: ValuationDef,
     params: WildParams,
     f: Optional[Callable[[int], int]] = None,
@@ -197,29 +193,30 @@ def wild_certificate(
 ) -> Certificate:
     """Verify the wildness inequality chain for every n in [n0, N].
 
-    Rows come block by block, e*2^(i+2) <= n < e*2^(i+3), in n order and
-    P before Q.  Per block and chain, (lambda, lhs) = omega(nu(M_i)) is
-    computed once; each row checks lambda < n and lhs against the bound
-    at n, exactly.  Where the knapsack is small, the tilde value of lambda
-    over the scaled generators is computed once per block, at the first
-    row that passes, and checked against the bound directly.
+    The chains are the valuation's families, and the certificate's kind
+    is the one whose families those are.  Rows come block by block,
+    e*2^(i+2) <= n < e*2^(i+3), in n order and P before Q.  Per block and
+    chain, (lambda, lhs) = omega(nu(M_i)) is computed once; each row
+    checks lambda < n and lhs against the bound at n, exactly.  Where the
+    knapsack is small, the tilde value of lambda over the scaled
+    generators is computed once per block, at the first row that passes,
+    and checked against the bound directly.
     """
-    _, chains = _chains(kind, f, g)
+    fams = vdef.families()
+    kind = {fks: k for k, fks in FORMS.items()}["".join(fam.kind for fam in fams)]
+    chains = [(fam, bound, sense) for fam, (_, bound, sense) in zip(fams, _chains(kind, f, g))]
     e = _block_scale(chains, params, N)
     i_hi = block_index(e, N)
-    chains = [(getattr(vdef, fk.lower()), bound, sense) for fk, bound, sense in chains]
-    for fam, _, _ in chains:
-        if fam is None:
-            raise UsageError(f"valuation form {vdef.form} lacks a needed family")
+    for fam in fams:
         fam.weight(i_hi)  # fail early, naming the missing index
     semigroup = _scaled_semigroup(vdef, params)
     cert = Certificate(
         kind=kind,
         valuation=vdef.descriptor(),
         params={
-            "a": format_scalar(params.a_value()),
+            "a": format_scalar(params.a),
             "c": params.c,
-            **({"a2": format_scalar(params.a2_value())} if len(chains) > 1 else {}),
+            **({"a2": format_scalar(params.a2)} if len(chains) > 1 else {}),
         },
         header=(
             "second coordinates of the root values are forced to zero by the "

@@ -140,18 +140,14 @@ def test_criterion_6_wild_certificates():
     for params in grid:
         for kind in ("decreasing", "increasing", "both"):
             v = make_wild_valuation(kind, f=NEG_SQ, g=POS_SQ, N=4096, params=params)
-            cert = wild_certificate(kind, v, params, f=NEG_SQ, g=POS_SQ, N=4096)
+            cert = wild_certificate(v, params, f=NEG_SQ, g=POS_SQ, N=4096)
             assert cert.valid
             first_n = min(r.n for r in cert.rows)
             assert {r.n for r in cert.rows} == set(range(first_n, 4097))
     # negative control: one crushed weight must break the certificate
     v = make_wild_valuation("decreasing", f=NEG_SQ, N=4096)
-    bad = SeqFamily(
-        "P", {i: (1 if i == 2 else v.p.weight(i)) for i in range(1, v.p.max_index + 1)}
-    )
-    cert = wild_certificate(
-        "decreasing", ValuationDef("P3", p=bad), WildParams(), f=NEG_SQ, N=4096
-    )
+    bad = SeqFamily("P", [1 if i == 2 else v.p.weight(i) for i in range(1, v.p.max_index + 1)])
+    cert = wild_certificate(ValuationDef(p=bad), WildParams(), f=NEG_SQ, N=4096)
     assert not cert.valid
     report(6, "wild certificates", t0, 30)
 

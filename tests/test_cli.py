@@ -90,12 +90,6 @@ class TestExpand:
         assert len(lines) == 2
         assert any("P_2" in l for l in lines)
 
-    def test_csv_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "expand", "--sigma", "2,5", "--poly", "y", "--format", "csv"
-        )
-        assert code == 2 and "CSV" in err
-
 
 class TestTilde:
     def test_worked_example(self, capsys):
@@ -281,6 +275,17 @@ def test_unread_flags_are_not_registered(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["valuate", "--sigma", "2,5", "--poly", "y"],
+    ["expand", "--sigma", "2,5", "--poly", "y"],
+    ["tilde", "--lambda", "21/4"],
+])
+def test_csv_offered_only_where_rendered(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_cap_environment_read_only_where_a_cap_applies(capsys, monkeypatch):

@@ -62,8 +62,7 @@ def parse_lexvec(text: str, spec) -> LexVec:
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError("vector must be parenthesized", 0)
     first, second = text[1:-1].split(",")
-    return spec.vec(parse_scalar(first, "quad" if spec.quad else "dyadic"),
-                    parse_scalar(second, "dyadic"))
+    return spec.vec(parse_scalar(first), parse_scalar(second))
 
 
 class TestDyadic:
@@ -274,24 +273,24 @@ class TestLexVec:
 class TestSerialization:
     def test_scalar_round_trip(self):
         cases = [
-            (Dyadic(21, 2), "dyadic", "21/2^2"),
-            (Dyadic(-3), "dyadic", "-3"),
-            (QuadReal(Dyadic(1, 1), Dyadic(-3, 2)), "quad", "1/2^1 + -3/2^2*sqrt2"),
-            (QuadReal(0, 1), "quad", "1*sqrt2"),
+            (Dyadic(21, 2), "21/2^2"),
+            (Dyadic(-3), "-3"),
+            (QuadReal(Dyadic(1, 1), Dyadic(-3, 2)), "1/2^1 + -3/2^2*sqrt2"),
+            (QuadReal(0, 1), "1*sqrt2"),
         ]
-        for value, kind, _ in cases:
-            assert parse_scalar(format_scalar(value), kind) == value
+        for value, _ in cases:
+            assert parse_scalar(format_scalar(value)) == value
 
     def test_quad_text_variants(self):
-        assert parse_scalar("sqrt2", "quad") == SQRT2
-        assert parse_scalar("-sqrt2", "quad") == -SQRT2
-        assert parse_scalar("3 - 2*sqrt2", "quad") == QuadReal(3, -2)
-        assert parse_scalar("1/2^1 + sqrt2", "quad") == QuadReal(Dyadic(1, 1), 1)
+        assert parse_scalar("sqrt2") == SQRT2
+        assert parse_scalar("-sqrt2") == -SQRT2
+        assert parse_scalar("3 - 2*sqrt2") == QuadReal(3, -2)
+        assert parse_scalar("1/2^1 + sqrt2") == QuadReal(Dyadic(1, 1), 1)
 
     def test_plain_fraction_denominator(self):
-        assert parse_scalar("21/4", "dyadic") == Dyadic(21, 2)
+        assert parse_scalar("21/4") == Dyadic(21, 2)
         with pytest.raises(ParseError):
-            parse_scalar("1/3", "dyadic")
+            parse_scalar("1/3")
 
     def test_lexvec_round_trip(self):
         v = QUAD2.vec(QuadReal(Dyadic(5, 1), 2), Dyadic(-7, 3))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valsem.errors import UsageError
-from valsem.exact import Dyadic, QuadReal
+from valsem.exact import DYADIC2, QUAD2, Dyadic, QuadReal
 from valsem.genseq import (
     SeqFamily,
     ValuationDef,
@@ -73,14 +73,26 @@ class TestWeights:
             SeqFamily("Q", [0])  # tau must be >= 1
         with pytest.raises(UsageError):
             SeqFamily("P", [-1])
-        with pytest.raises(UsageError):
-            SeqFamily("P", {0: 2})
         SeqFamily("P", [0])  # sigma 0 is legal
 
     def test_missing_weight_named_in_error(self):
         fam = SeqFamily("P", SIGMA)
         with pytest.raises(UsageError, match="index 3"):
             fam.weight(3)
+
+
+class TestValuationDef:
+    def test_form_and_group_follow_the_families(self):
+        for v, form, group in ((ValuationDef.p3(SIGMA), "P3", DYADIC2),
+                               (ValuationDef.q3([1]), "Q3", DYADIC2),
+                               (ValuationDef.combined(SIGMA, [1]), "C5", QUAD2)):
+            assert (v.form, v.group) == (form, group)
+
+    def test_family_validation(self):
+        for p, q in ((None, None), (SeqFamily("Q", [1]), None), (None, SeqFamily("P", SIGMA)),
+                     (SeqFamily("Q", [1]), SeqFamily("Q", [1]))):
+            with pytest.raises(UsageError):
+                ValuationDef(p, q)
 
 
 class TestFamilies:
@@ -204,7 +216,7 @@ class TestKeyIdentities:
         fam = SeqFamily("P", SIGMA_LONG)
         second = fam.second
         monkeypatch.setattr(fam, "second", lambda i: Dyadic(17) if i == 2 else second(i))
-        v = ValuationDef("P3", p=fam)
+        v = ValuationDef(p=fam)
         # fails on the arithmetic check, before any polynomial is valued
         assert not check_key_identity(v, 2)
 
@@ -217,7 +229,7 @@ class TestKeyIdentities:
 class TestChooseWeights:
     def test_worked_example(self):
         w = choose_weights("P", lambda n: -n, 3)
-        assert w[1] == 34
+        assert w[0] == 34
         fam = SeqFamily("P", w)
         assert fam.second(1) == Dyadic(-17)
 
@@ -230,9 +242,9 @@ class TestChooseWeights:
             assert s_i.is_integer()
             assert beyond(s_i, bound(i << (i + 3)))
             # one smaller admissible weight (same parity) would break it
-            w2 = dict(w)
-            w2[i] -= 2
-            if w2[i] >= 1:
+            w2 = list(w)
+            w2[i - 1] -= 2
+            if w2[i - 1] >= 1:
                 assert not beyond(SeqFamily(kind, w2).second(i), bound(i << (i + 3)))
 
     def test_minimality_and_integrality(self):

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import astuple
 
 import pytest
@@ -12,8 +13,10 @@ from valsem.exact import Dyadic, QuadReal, format_scalar
 from valsem.gensemi import DEFAULT_STATE_CAP, GenSemigroup
 from valsem.genseq import SeqFamily, ValuationDef, eta
 from valsem.wild import (
+    TILDE_CROSS_CHECK_MAX_INDEX,
     CertRow,
     WildParams,
+    _scaled_semigroup,
     block_index,
     make_wild_valuation,
     parse_bound,
@@ -33,7 +36,7 @@ PARAM_GRID = [
 
 def build(kind, params, N=512):
     v = make_wild_valuation(kind, f=NEG_SQ, g=POS_SQ, N=N, params=params)
-    return wild_certificate(kind, v, params, f=NEG_SQ, g=POS_SQ, N=N)
+    return wild_certificate(v, params, f=NEG_SQ, g=POS_SQ, N=N)
 
 
 def reference_rows(kind, vdef, params, f=None, g=None, N=4096, tilde_cap=DEFAULT_STATE_CAP):
@@ -42,7 +45,7 @@ def reference_rows(kind, vdef, params, f=None, g=None, N=4096, tilde_cap=DEFAULT
     scaled generators are listed by hand rather than mapped from
     ValuationDef.generators.  The tilde search runs once per (chain,
     block), at the first row that passes the member check."""
-    a1, a2, c = params.a_value(), params.a2_value(), params.c
+    a1, a2, c = params.a, params.a2, params.c
     e = a1.ceil() if kind != "both" else max(a1.ceil(), QuadReal(0, a2).ceil())
     fams = vdef.families()
 
@@ -94,8 +97,8 @@ def crushed(kind, N=512):
     the chain misses the bound from block 2 on."""
     v = make_wild_valuation(kind, f=NEG_SQ, g=POS_SQ, N=N)
     fam = v.families()[0]
-    bad = SeqFamily(fam.kind, {i: (1 if i == 2 else w) for i, w in fam.weights.items()})
-    return ValuationDef(v.form, **{fam.kind.lower(): bad})
+    bad = SeqFamily(fam.kind, [1 if i == 2 else w for i, w in enumerate(fam.weights, start=1)])
+    return ValuationDef(**{fam.kind.lower(): bad})
 
 
 class TestParams:
@@ -109,8 +112,9 @@ class TestParams:
         with pytest.raises(UsageError):
             WildParams(a2=Dyadic(-1, 1))
         p = WildParams(a=Dyadic(3, 1))
-        assert p.a_value() == Dyadic(3, 1)
-        assert p.a2_value() == Dyadic(3, 1)  # defaults to a
+        assert p.a == Dyadic(3, 1)
+        assert p.a2 == Dyadic(3, 1)  # defaults to a
+        assert isinstance(WildParams(a=2).a, Dyadic)  # coerced once, when built
 
 
 class TestIndices:
@@ -130,6 +134,7 @@ class TestCertificates:
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_valid_over_range(self, kind, params):
         cert = build(kind, params)
+        assert cert.kind == kind
         assert cert.valid
         assert cert.first_bad() is None
         require_valid(cert)  # should not raise
@@ -151,7 +156,7 @@ class TestCertificates:
         # crush one weight down to 1: gamma stops decreasing fast enough
         vbad = crushed("decreasing")
         assert vbad.p.second(2) >= NEG_SQ(2 << 5)
-        cert = wild_certificate("decreasing", vbad, params, f=NEG_SQ, N=512)
+        cert = wild_certificate(vbad, params, f=NEG_SQ, N=512)
         assert not cert.valid
         row = cert.first_bad()
         assert row is not None and row.i == 2
@@ -159,14 +164,14 @@ class TestCertificates:
             require_valid(cert)
 
     def test_increasing_negative_control(self):
-        cert = wild_certificate("increasing", crushed("increasing"), WildParams(), g=POS_SQ, N=512)
+        cert = wild_certificate(crushed("increasing"), WildParams(), g=POS_SQ, N=512)
         assert not cert.valid
 
     @pytest.mark.parametrize("kind", ["decreasing", "increasing", "both"])
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_rows_match_reference(self, kind, params):
         v = make_wild_valuation(kind, f=NEG_SQ, g=POS_SQ, N=512, params=params)
-        cert = wild_certificate(kind, v, params, f=NEG_SQ, g=POS_SQ, N=512)
+        cert = wild_certificate(v, params, f=NEG_SQ, g=POS_SQ, N=512)
         ref = reference_rows(kind, v, params, f=NEG_SQ, g=POS_SQ, N=512)
         assert [astuple(r) for r in cert.rows] == [astuple(r) for r in ref]
 
@@ -175,14 +180,14 @@ class TestCertificates:
     def test_both_rows_match_reference_with_a2(self, params):
         # a and a2 differ, so each scales its own part of the first coordinate
         v = make_wild_valuation("both", f=NEG_SQ, g=POS_SQ, N=1024, params=params)
-        cert = wild_certificate("both", v, params, f=NEG_SQ, g=POS_SQ, N=1024)
+        cert = wild_certificate(v, params, f=NEG_SQ, g=POS_SQ, N=1024)
         ref = reference_rows("both", v, params, f=NEG_SQ, g=POS_SQ, N=1024)
         assert [astuple(r) for r in cert.rows] == [astuple(r) for r in ref]
 
     @pytest.mark.parametrize("kind", ["decreasing", "increasing"])
     def test_negative_control_rows_match_reference(self, kind):
         vbad, params = crushed(kind), WildParams()
-        cert = wild_certificate(kind, vbad, params, f=NEG_SQ, g=POS_SQ, N=512)
+        cert = wild_certificate(vbad, params, f=NEG_SQ, g=POS_SQ, N=512)
         ref = reference_rows(kind, vbad, params, f=NEG_SQ, g=POS_SQ, N=512)
         assert [astuple(r) for r in cert.rows] == [astuple(r) for r in ref]
         assert not cert.valid
@@ -191,7 +196,7 @@ class TestCertificates:
         v, params = make_wild_valuation("both", f=NEG_SQ, g=POS_SQ, N=256), WildParams()
         for cap in (1, 3):
             with pytest.raises(CapExceeded) as new:
-                wild_certificate("both", v, params, f=NEG_SQ, g=POS_SQ, N=256, tilde_cap=cap)
+                wild_certificate(v, params, f=NEG_SQ, g=POS_SQ, N=256, tilde_cap=cap)
             with pytest.raises(CapExceeded) as ref:
                 reference_rows("both", v, params, f=NEG_SQ, g=POS_SQ, N=256, tilde_cap=cap)
             assert str(new.value) == str(ref.value)
@@ -199,30 +204,59 @@ class TestCertificates:
     def test_range_validation(self):
         v = make_wild_valuation("decreasing", f=NEG_SQ, N=512)
         with pytest.raises(UsageError):
-            wild_certificate("decreasing", v, WildParams(), f=NEG_SQ, N=4)
+            wild_certificate(v, WildParams(), f=NEG_SQ, N=4)
         # the range [n0, N] is checked in both places: n0 = 8, then 32 for a = 2
         for N, params in ((7, WildParams()), (20, WildParams(a=2)), (31, WildParams(a=2))):
             with pytest.raises(UsageError, match=r"range \[\d+, \d+\] is empty"):
                 make_wild_valuation("decreasing", f=NEG_SQ, N=N, params=params)
             with pytest.raises(UsageError, match=r"range \[\d+, \d+\] is empty"):
-                wild_certificate("decreasing", v, params, f=NEG_SQ, N=N)
+                wild_certificate(v, params, f=NEG_SQ, N=N)
         # at N = n0 the weights reach the first block, i = e
         v = make_wild_valuation("decreasing", f=NEG_SQ, N=32, params=WildParams(a=2))
         assert v.p.max_index == 2
         with pytest.raises(UsageError):
-            wild_certificate("sideways", v, WildParams(), f=NEG_SQ)
+            make_wild_valuation("sideways", f=NEG_SQ)
         with pytest.raises(UsageError):
-            wild_certificate("decreasing", v, WildParams())  # missing f
-
-    def test_missing_family_rejected(self):
-        v = ValuationDef.q3([1, 3, 5])
-        with pytest.raises(UsageError):
-            wild_certificate("decreasing", v, WildParams(), f=NEG_SQ, N=64)
+            wild_certificate(v, WildParams())  # missing f
 
     def test_weight_exhaustion_named(self):
         v = make_wild_valuation("decreasing", f=NEG_SQ, N=64)
         with pytest.raises(UsageError, match="index"):
-            wild_certificate("decreasing", v, WildParams(), f=NEG_SQ, N=4096)
+            wild_certificate(v, WildParams(), f=NEG_SQ, N=4096)
+
+
+class TestCrossCheckValue:
+    def test_tilde_of_a_member_is_its_own_value(self):
+        """The tilde value the cross-check reads is the member's own value.
+
+        eta_i = (4^(i+1) - 1)/(3*2^i) has an odd numerator, so its
+        denominator is exactly 2^i, and eta increases with i.  A sum of
+        generators with first coordinate eta_i in one family's part thus
+        uses only the root and members up to i: one M_i alone, or roots
+        and lower members, whose first coordinates all have denominators
+        dividing 2^(i-1) and so miss eta_i.  In C5 the rational and sqrt2
+        parts do not mix, and omega scales each part by its own factor,
+        so the same holds after scaling.  z adds only to the second
+        coordinate.  Hence tilde(lambda) = omega(nu(M_i)) for every member
+        of the cross-check.
+        """
+        rng = random.Random(11)
+        dyadic = lambda: Dyadic(rng.randint(1, 12), rng.randint(0, 3))
+        checked = 0
+        for _ in range(40):
+            sigma = [rng.randint(0, 9) for _ in range(rng.randint(1, 6))]
+            tau = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+            params = WildParams(a=dyadic(), a2=dyadic(), c=rng.randint(1, 4))
+            for v in (ValuationDef.p3(sigma), ValuationDef.q3(tau),
+                      ValuationDef.combined(sigma, tau)):
+                sg = _scaled_semigroup(v, params)
+                for fam in v.families():
+                    for i in range(min(TILDE_CROSS_CHECK_MAX_INDEX, fam.max_index) + 1):
+                        lam, lhs = params.omega(v.gen_value(fam, i)).coords
+                        entry = sg.tilde(lam)
+                        assert entry is not None and entry.tilde.second == lhs
+                        checked += 1
+        assert checked > 500
 
 
 class TestJson:
