@@ -29,9 +29,19 @@ from .genseq import (
 from .gensemi import DEFAULT_STATE_CAP, box_bound_check, box_semigroup
 from .poly import MPoly, format_poly, parse_poly
 from .semigroups import contradiction_table, stair_count, stair_members
-from .wild import FORMS, WildParams, make_wild_valuation, parse_bound, wild_certificate
+from .wild import (
+    FORMS,
+    Certificate,
+    CertRow,
+    WildParams,
+    make_wild_valuation,
+    parse_bound,
+    wild_certificate,
+)
 
 _SQRT2_FLOAT = 1.4142135623730951
+# the string escaping json.dumps applies under its default ensure_ascii
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _default_cap() -> int:
@@ -109,6 +119,32 @@ def _emit(args, text: str) -> None:
 
 def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, indent=2))
+
+
+def _certificate_json(cert: Certificate) -> str:
+    """The text json.dumps(payload, indent=2) gives for the certificate's
+    payload: kind, valuation, params, header, rows, valid.  Each row is
+    rendered on its own, so no dict per row and no encoder chunk list
+    is ever built."""
+    head = {"kind": cert.kind, "valuation": cert.valuation, "params": cert.params,
+            "header": cert.header}
+    parts = [f'  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
+             for key, value in head.items()]
+    rows = ",\n".join(map(_row_json, cert.rows))
+    parts.append('  "rows": ' + (f"[\n{rows}\n  ]" if rows else "[]"))
+    parts.append(f'  "valid": {"true" if cert.valid else "false"}')
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
+def _row_json(r: CertRow) -> str:
+    s = _json_str
+    tail = f',\n      "tilde_second": {s(r.tilde_second)}' if r.tilde_second else ""
+    return (
+        f'    {{\n      "n": {int.__repr__(r.n)},\n      "i": {int.__repr__(r.i)},\n'
+        f'      "chain": {s(r.chain)},\n      "lambda": {s(r.lam)},\n'
+        f'      "witness": {s(r.witness)},\n      "lhs": {s(r.lhs)},\n'
+        f'      "rhs": {s(r.rhs)},\n      "ok": {"true" if r.ok else "false"}{tail}\n    }}'
+    )
 
 
 def _emit_csv(args, header, rows) -> None:
@@ -267,8 +303,10 @@ def _y2_grid(y2_max: int):
 
 
 def cmd_example3(args) -> int:
-    if args.y2_max < 1:
-        raise UsageError("--y2-max must be at least 1")
+    for flag, value in (("--r", args.r), ("--y1", args.y1), ("--y2-max", args.y2_max),
+                        ("--d", args.d)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1")
     rows = contradiction_table(args.r, args.y1, _y2_grid(args.y2_max), args.d)
     crossed = any(r.crossed for r in rows)
     header = ["y2", "lower_bound", "exact_count", "claimed_bound", "crossed"]
@@ -325,7 +363,7 @@ def cmd_wild(args) -> int:
         ]
         _emit(args, "\n".join(lines))
     else:
-        _emit_json(args, cert.to_json())
+        _emit(args, _certificate_json(cert))
     return 0 if cert.valid else 1
 
 

@@ -114,37 +114,53 @@ def _bernoulli(m: int) -> Fraction:
     return _BERNOULLI[m]
 
 
+def _faulhaber(r: int) -> List[Fraction]:
+    """The coefficients c_k, k = 0..r+1, of sum_{n=1}^{y-1} n^r = sum_k c_k y^k
+    for r >= 1: c_(r+1-j) = C(r+1, j) B_j / (r+1) (Knuth 1993, "Johann
+    Faulhaber and sums of powers")."""
+    coeffs = [Fraction(0)] * (r + 2)
+    for j in range(r + 1):
+        coeffs[r + 1 - j] = comb(r + 1, j) * _bernoulli(j) / (r + 1)
+    return coeffs
+
+
+def _integral(total: Fraction, what: str) -> int:
+    if total.denominator != 1:
+        raise VerificationError(f"{what} is not an integer")
+    return total.numerator
+
+
 def powersum(y: int, r: int) -> int:
     """f(y) = sum_{n=1}^{y-1} n^r, exact, by Faulhaber's formula."""
     if y < 1:
         raise UsageError("powersum needs y >= 1")
-    total = sum(
-        comb(r + 1, j) * _bernoulli(j) * y ** (r + 1 - j) for j in range(r + 1)
-    ) / (r + 1)
-    if total.denominator != 1:
-        raise VerificationError(f"Faulhaber sum for y={y}, r={r} is not an integer")
-    return total.numerator
-
-
-def c_of(i: int) -> int:
-    """Scaling denominators for T: c(0) = 1, c(i) = i for i >= 1."""
-    if i < 0:
-        raise UsageError("c(i) needs i >= 0")
-    return 1 if i == 0 else i
-
-
-def scaled_count(c: int, r: int, y: int) -> int:
-    """#((1/c) S intersect [0, y[) = #(S intersect [0, c*y[)."""
-    if c < 1 or y < 0:
-        raise UsageError("scaled_count needs c >= 1 and y >= 0")
-    return stair_count_upto(r, c * y)
+    total = sum(c * y**k for k, c in enumerate(_faulhaber(r)))
+    return _integral(total, f"Faulhaber sum for y={y}, r={r}")
 
 
 def t_box_count(r: int, y1: int, y2: int) -> int:
-    """#(T intersect ([0, y2[ x [0, y1[)), summed slice by slice."""
+    """#(T intersect ([0, y2[ x [0, y1[)), in O(log(y1*y2)) steps.
+
+    Slice 0 holds S below y1 (c(0) = 1) and slice m >= 1 holds S below
+    m*y1.  On 2^M <= h < 2^(M+1), #(S intersect [0, h[) is affine in h:
+    #(S intersect [0, 2^M[) + (h - 2^M) * 2^((M+1)r).  So the slices whose
+    m*y1 has bit length M + 1 sum to an arithmetic series.
+    """
     if y1 < 1 or y2 < 1:
         raise UsageError("t_box_count needs y1, y2 >= 1")
-    return sum(scaled_count(c_of(m), r, y1) for m in range(y2))
+    total = stair_count_upto(r, y1)
+    M = y1.bit_length() - 1
+    below = stair_count_upto(r, 1 << M)
+    m_lo = 1
+    while m_lo < y2:
+        # m_lo*y1 >= 2^M, and every m up to m_hi has m*y1 < 2^(M+1)
+        m_hi = min(y2 - 1, ((2 << M) - 1) // y1)
+        k = m_hi - m_lo + 1
+        total += k * below + ((y1 * (m_lo + m_hi) * k // 2 - (k << M)) << ((M + 1) * r))
+        below += 1 << (M + (M + 1) * r)
+        M += 1
+        m_lo = m_hi + 1
+    return total
 
 
 @dataclass
@@ -164,27 +180,22 @@ def contradiction_table(
     constant d can bound the box counts with exponent 1 in y2.
 
     The lower bound is f(y1) + sum_{i=1}^{y2-1} f(i*y1), which never
-    exceeds the exact box count.
+    exceeds the exact box count.  With f(y) = sum_k c_k y^k, the sum over
+    i is sum_k c_k y1^k f_k(y2), where f_k is the power sum of exponent k.
     """
     if r < 1 or y1 < 1 or d < 1:
         raise UsageError("contradiction_table needs r, y1, d >= 1")
+    coeffs = _faulhaber(r)
     rows = []
     for y2 in y2_list:
         if y2 < 1:
             raise UsageError("y2 values must be positive")
-        lower = powersum(y1, r) + sum(powersum(i * y1, r) for i in range(1, y2))
+        slices = sum(coeffs[k] * y1**k * powersum(y2, k) for k in range(1, r + 2))
+        lower = powersum(y1, r) + _integral(slices, f"slice sum for y1={y1}, y2={y2}, r={r}")
         count = t_box_count(r, y1, y2)
         bound = d * y1 ** (r + 1) * y2
         rows.append(ContradictionRow(y2, lower, count, bound, lower > bound))
     return rows
-
-
-def hs_length(d: int, y: int) -> int:
-    """Colength of the y-th power of the maximal ideal in a d-dimensional
-    regular local ring: binomial(y + d - 1, d)."""
-    if d < 1 or y < 0:
-        raise UsageError("hs_length needs d >= 1 and y >= 0")
-    return comb(y + d - 1, d)
 
 
 def theorem1_bound(

@@ -107,29 +107,6 @@ class Certificate:
                 return r
         return None
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "valuation": self.valuation,
-            "params": self.params,
-            "header": self.header,
-            "rows": [
-                {
-                    "n": r.n,
-                    "i": r.i,
-                    "chain": r.chain,
-                    "lambda": r.lam,
-                    "witness": r.witness,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "ok": r.ok,
-                    **({"tilde_second": r.tilde_second} if r.tilde_second else {}),
-                }
-                for r in self.rows
-            ],
-            "valid": self.valid,
-        }
-
 
 def block_index(e: int, n: int) -> int:
     """The i with e * 2^(i+2) <= n < e * 2^(i+3)."""

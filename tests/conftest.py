@@ -1,5 +1,6 @@
 import random
 import time
+from math import comb
 
 from valsem.poly import LaurentZ, MPoly
 
@@ -41,3 +42,9 @@ def random_poly(
             p = p + mono
         if not p.is_zero():
             return p
+
+
+def hs_length(d: int, y: int) -> int:
+    """Colength of the y-th power of the maximal ideal in a d-dimensional
+    regular local ring: binomial(y + d - 1, d)."""
+    return comb(y + d - 1, d)

@@ -23,7 +23,6 @@ from valsem.genseq import (
 from valsem.gensemi import box_bound_check, box_semigroup
 from valsem.semigroups import (
     contradiction_table,
-    hs_length,
     powersum,
     stair_count,
     stair_count_upto,
@@ -32,7 +31,7 @@ from valsem.semigroups import (
 )
 from valsem.wild import WildParams, make_wild_valuation, wild_certificate
 
-from conftest import random_poly
+from conftest import hs_length, random_poly
 from test_gensemi import brute_tilde
 
 NEG_SQ = lambda n: -(n**2)

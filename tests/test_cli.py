@@ -3,6 +3,8 @@ import csv
 import hashlib
 import io
 import json
+import time
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -199,7 +201,37 @@ class TestExample3:
     def test_d_below_one_is_usage_error(self, capsys, d):
         # a claimed bound of d <= 0 is crossed trivially and certifies nothing
         code, out, err = run(capsys, "example3", "--d", d, "--y2-max", "4")
-        assert code == 2 and out == "" and "d >= 1" in err
+        assert code == 2 and out == "" and "--d must be at least 1" in err
+
+    @pytest.mark.parametrize("flag", ["--r", "--y1", "--d"])
+    def test_size_below_one_names_the_flag(self, capsys, flag):
+        code, out, err = run(capsys, "example3", flag, "0")
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at least 1\n"
+
+    def test_run_time_does_not_follow_y2_max(self, capsys):
+        # one row per power of two up to 2^64; summing slice by slice
+        # would not finish
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "example3", "--r", "3", "--y1", "1024",
+                           "--y2-max", str(2**64), "--format", "csv")
+        assert time.perf_counter() - t0 < 2
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 1 + 65
+        assert [int(r[0]) for r in rows[1:]] == [2**k for k in range(65)]
+
+    def test_run_time_does_not_follow_y1(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(
+            resources.files("valsem.schemas").joinpath("count_table.json").read_text()
+        )
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "example3", "--y1", str(10**12),
+                           "--y2-max", str(2**40), "--format", "json")
+        assert time.perf_counter() - t0 < 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert code == 0 and len(payload["rows"]) == 41
 
 
 class TestWild:
@@ -316,6 +348,17 @@ GOLDEN = [
     (["wild", "--kind", "increasing", "--N", "1024", "--format", "csv",
       "--g", "pow:3", "--c", "3"],
      "a7a50d32245bbbfc4d21312f182e57b259494929d4a976f70354e6461dfdc2a2"),
+    (["example3", "--format", "json"],
+     "5696154fc62f834161483eb30cb685dc5695a6f4c543b443fc6784ba3c0a373f"),
+    (["example3", "--r", "2", "--y1", "37", "--y2-max", "1024", "--format", "csv"],
+     "1eaff0ad55b32e13e7ae013f3945b53a63804946bf7ec22406bd5302f6e9a0fe"),
+    (["example3", "--r", "3", "--y1", "100", "--y2-max", "2048", "--d", "1000",
+      "--format", "pretty"],
+     "6bb835adc7bdb195654ef2818279e882b6c7367105bd6e4f271472dbee9490ad"),
+    (["wild", "--kind", "both", "--N", "512", "--a2", "3/2", "--format", "json"],
+     "13e3840ecedd3051df421ecb3a3cc8c32789f1c7e1df04790a3d18f55c19fbc4"),
+    (["wild", "--kind", "increasing", "--N", "700", "--c", "2", "--format", "json"],
+     "9a4219c42b1ed7cd27a595e8f43b1ac1bf4f46bf1e17603cd44d2335a0fa9378"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
@@ -10,11 +11,8 @@ from valsem.errors import CapExceeded, UsageError
 from valsem.exact import Dyadic
 from valsem.semigroups import (
     ContradictionRow,
-    c_of,
     contradiction_table,
-    hs_length,
     powersum,
-    scaled_count,
     stair_count,
     stair_count_upto,
     stair_decompose,
@@ -22,6 +20,8 @@ from valsem.semigroups import (
     t_box_count,
     theorem1_bound,
 )
+
+from conftest import hs_length
 
 
 def members_oracle(r, lo, hi):
@@ -36,6 +36,38 @@ def members_oracle(r, lo, hi):
             if lo <= val < hi:
                 out.append(val)
         n += 1
+    return out
+
+
+def c_of(i):
+    """Scaling denominators for T: c(0) = 1, c(i) = i for i >= 1."""
+    if i < 0:
+        raise UsageError("c(i) needs i >= 0")
+    return 1 if i == 0 else i
+
+
+def scaled_count(c, r, y):
+    """#((1/c) S intersect [0, y[) = #(S intersect [0, c*y[)."""
+    if c < 1 or y < 0:
+        raise UsageError("scaled_count needs c >= 1 and y >= 0")
+    return stair_count_upto(r, c * y)
+
+
+def t_box_oracle(r, y1, y2_max):
+    """t_box_count(r, y1, y2) for y2 = 1..y2_max, summed slice by slice."""
+    out, total = [], 0
+    for m in range(y2_max):
+        total += scaled_count(c_of(m), r, y1)
+        out.append(total)
+    return out
+
+
+def lower_bound_oracle(r, y1, y2_max):
+    """f(y1) + sum_{i=1}^{y2-1} f(i*y1) for y2 = 1..y2_max, one power sum per i."""
+    out, total = [], powersum(y1, r)
+    for i in range(1, y2_max + 1):
+        out.append(total)
+        total += powersum(i * y1, r)
     return out
 
 
@@ -196,6 +228,12 @@ class TestTCounts:
                 )
             assert t_box_count(1, y1, y2) == expected
 
+    def test_closed_form_matches_slice_sums(self):
+        for r in (1, 2, 3):
+            for y1 in range(1, 65):
+                got = [t_box_count(r, y1, y2) for y2 in range(1, 65)]
+                assert got == t_box_oracle(r, y1, 64), (r, y1)
+
     def test_monotone(self):
         prev = 0
         for y2 in range(1, 20):
@@ -220,6 +258,27 @@ class TestContradiction:
         assert any(r.crossed for r in rows)
         for r in rows:
             assert r.crossed == (r.lower_bound > r.claimed_bound)
+
+    def test_closed_form_matches_slice_sums(self):
+        y2s = list(range(1, 65))
+        for r in (1, 2, 3):
+            for y1 in range(1, 65):
+                rows = contradiction_table(r, y1, y2s, 10)
+                assert [row.y2 for row in rows] == y2s
+                assert [row.lower_bound for row in rows] == lower_bound_oracle(r, y1, 64)
+                assert [row.exact_count for row in rows] == t_box_oracle(r, y1, 64)
+
+    def test_cost_does_not_grow_with_y2(self):
+        # 65 rows up to y2 = 2^64 in under 50 ms (best of three); summing
+        # the slices one by one would not finish
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            rows = contradiction_table(3, 1024, [2**k for k in range(65)], 10**6)
+            elapsed.append(time.perf_counter() - t0)
+        assert len(rows) == 65 and rows[-1].crossed
+        assert all(row.lower_bound <= row.exact_count for row in rows)
+        assert min(elapsed) < 0.05
 
     def test_single_row_no_crossover(self):
         rows = contradiction_table(1, 64, [1], 10**6)

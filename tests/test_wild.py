@@ -3,17 +3,21 @@ import random
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
+from valsem.cli import _certificate_json
 from valsem.errors import CapExceeded, UsageError, VerificationError
 from valsem.exact import Dyadic, QuadReal, format_scalar
 from valsem.gensemi import DEFAULT_STATE_CAP, GenSemigroup
 from valsem.genseq import SeqFamily, ValuationDef, eta
 from valsem.wild import (
     TILDE_CROSS_CHECK_MAX_INDEX,
+    Certificate,
     CertRow,
     WildParams,
     _scaled_semigroup,
@@ -26,6 +30,11 @@ from valsem.wild import (
 
 NEG_SQ = lambda n: -(n**2)
 POS_SQ = lambda n: n**2
+
+# quotes, backslashes, control characters and non-ASCII text, lone
+# surrogates included
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+                         st.characters(exclude_categories=())), max_size=8)
 
 PARAM_GRID = [
     WildParams(),
@@ -90,6 +99,31 @@ def reference_rows(kind, vdef, params, f=None, g=None, N=4096, tilde_cap=DEFAULT
             rows.append(CertRow(n, i, chain, format_scalar(lam), fam.name(i),
                                 format_scalar(member_second), str(bound), ok, tilde_second))
     return rows
+
+
+def oracle_dict(cert):
+    """The certificate's JSON payload as a dict, key by key."""
+    return {
+        "kind": cert.kind,
+        "valuation": cert.valuation,
+        "params": cert.params,
+        "header": cert.header,
+        "rows": [
+            {
+                "n": r.n,
+                "i": r.i,
+                "chain": r.chain,
+                "lambda": r.lam,
+                "witness": r.witness,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "ok": r.ok,
+                **({"tilde_second": r.tilde_second} if r.tilde_second else {}),
+            }
+            for r in cert.rows
+        ],
+        "valid": cert.valid,
+    }
 
 
 def crushed(kind, N=512):
@@ -266,16 +300,40 @@ class TestJson:
         )
         for kind in ("decreasing", "both"):
             cert = build(kind, WildParams(), N=64)
-            payload = cert.to_json()
+            payload = json.loads(_certificate_json(cert))
             jsonschema.validate(payload, schema)
             assert payload["valid"] is True
-            # round-trips through json text
-            assert json.loads(json.dumps(payload)) == payload
+            assert payload == oracle_dict(cert)
 
     def test_row_fields(self):
         cert = build("both", WildParams(), N=64)
-        row = cert.to_json()["rows"][0]
+        row = oracle_dict(cert)["rows"][0]
         assert {"n", "i", "chain", "lambda", "witness", "lhs", "rhs", "ok"} <= set(row)
+
+    @pytest.mark.parametrize("kind", ["decreasing", "increasing", "both"])
+    @pytest.mark.parametrize("params", PARAM_GRID)
+    def test_writer_matches_json_dumps(self, kind, params):
+        cert = build(kind, params)
+        assert _certificate_json(cert) == json.dumps(oracle_dict(cert), indent=2)
+
+    @given(
+        st.builds(
+            Certificate,
+            kind=TEXT,
+            valuation=st.dictionaries(TEXT, st.one_of(TEXT, st.lists(st.integers())), max_size=2),
+            params=st.dictionaries(TEXT, st.one_of(TEXT, st.integers()), max_size=2),
+            header=TEXT,
+            rows=st.lists(
+                st.builds(CertRow, n=st.integers(), i=st.integers(), chain=TEXT, lam=TEXT,
+                          witness=TEXT, lhs=TEXT, rhs=TEXT, ok=st.booleans(),
+                          tilde_second=st.one_of(st.none(), TEXT)),
+                max_size=3,
+            ),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_writer_escapes_like_json_dumps(self, cert):
+        assert _certificate_json(cert) == json.dumps(oracle_dict(cert), indent=2)
 
 
 class TestParseBound:
