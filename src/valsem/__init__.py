@@ -14,7 +14,6 @@ from .genseq import (
     ValuationDef,
     check_key_identity,
     eta,
-    eta_closed,
     expand,
     reconstruct,
     term_value,
@@ -49,7 +48,6 @@ __all__ = [
     "contradiction_table",
     "div_in_var",
     "eta",
-    "eta_closed",
     "expand",
     "format_lexvec",
     "format_poly",

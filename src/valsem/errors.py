@@ -10,10 +10,11 @@ class UsageError(ValsemError):
 
 
 class ParseError(ValsemError):
-    """Syntax error in a textual input, with a character position."""
+    """Syntax error in a textual input; the character position is .pos,
+    not part of the message."""
 
     def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+        super().__init__(message)
         self.pos = pos
 
 

@@ -155,9 +155,6 @@ class Dyadic(_Ordered):
     def ceil(self) -> int:
         return -((-self.num) >> self.k)
 
-    def is_integer(self) -> bool:
-        return self.k == 0
-
     def __repr__(self):
         return f"Dyadic({self.num}, {self.k})"
 

@@ -28,25 +28,19 @@ from .errors import UsageError, VerificationError
 from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal
 from .poly import VAR_INDEX, LaurentZ, MPoly, div_in_var
 
-_ETA_CACHE: List[Dyadic] = [Dyadic(1)]
+_ETA_CACHE: List[Dyadic] = []
 
 
 def eta(i: int) -> Dyadic:
-    """eta_0 = 1, eta_{i+1} = 2*eta_i + 1/2^(i+1); exact dyadic."""
+    """eta_0 = 1, eta_{i+1} = 2*eta_i + 1/2^(i+1); exact dyadic, computed
+    from the closed form (1/3)(2^(i+2) - 1/2^i) = ((2^(2i+2) - 1) / 3) / 2^i,
+    whose numerator is odd."""
     if i < 0:
         raise UsageError("eta index must be nonnegative")
     while len(_ETA_CACHE) <= i:
         j = len(_ETA_CACHE)
-        _ETA_CACHE.append(2 * _ETA_CACHE[-1] + Dyadic(1, j))
+        _ETA_CACHE.append(Dyadic(((1 << (2 * j + 2)) - 1) // 3, j))
     return _ETA_CACHE[i]
-
-
-def eta_closed(i: int) -> Dyadic:
-    """Closed form (1/3)(2^(i+2) - 1/2^i) = (2^(2i+2) - 1) / (3 * 2^i)."""
-    num = (1 << (2 * i + 2)) - 1
-    if num % 3:
-        raise VerificationError(f"2^{2 * i + 2} - 1 is not divisible by 3")
-    return Dyadic(num // 3, i)
 
 
 class SeqFamily:
@@ -219,21 +213,17 @@ class ValuationDef:
                 out.append((fam.name(i), self.gen_value(fam, i)))
         return out
 
+    def _centers(self) -> List[LexVec]:
+        """The values of the center generators: each family's root and first member."""
+        return [self.gen_value(fam, i) for fam in self.families() for i in (0, 1)]
+
     def t1(self) -> LexVec:
         """nu(m_R): minimum value over the variable generators and z."""
-        candidates = [self.z_value()]
-        for fam in self.families():
-            candidates.append(self.gen_value(fam, 0))
-            candidates.append(self.gen_value(fam, 1))
-        return min(candidates)
+        return min([self.z_value(), *self._centers()])
 
     def t2(self):
         """nu_2(p_2): minimal first coordinate over the center generators."""
-        firsts = []
-        for fam in self.families():
-            firsts.append(self.gen_value(fam, 0).first)
-            firsts.append(self.gen_value(fam, 1).first)
-        return min(firsts)
+        return min(v.first for v in self._centers())
 
     def descriptor(self) -> dict:
         out = {"form": self.form}

@@ -9,7 +9,7 @@ requests that would leave the Laurent ring are rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import ParseError, UsageError
 
@@ -46,6 +46,12 @@ class LaurentZ:
         raise AttributeError("LaurentZ is immutable")
 
     @staticmethod
+    def _raw(c: dict) -> "LaurentZ":
+        out = LaurentZ.__new__(LaurentZ)
+        object.__setattr__(out, "c", c)
+        return out
+
+    @staticmethod
     def term(coeff, exp: int = 0) -> "LaurentZ":
         return LaurentZ({exp: coeff})
 
@@ -80,14 +86,10 @@ class LaurentZ:
                 c[e] = s
             else:
                 c.pop(e, None)
-        out = LaurentZ.__new__(LaurentZ)
-        object.__setattr__(out, "c", c)
-        return out
+        return LaurentZ._raw(c)
 
     def __neg__(self) -> "LaurentZ":
-        out = LaurentZ.__new__(LaurentZ)
-        object.__setattr__(out, "c", {e: -q for e, q in self.c.items()})
-        return out
+        return LaurentZ._raw({e: -q for e, q in self.c.items()})
 
     def __sub__(self, other: "LaurentZ") -> "LaurentZ":
         return self + (-other)
@@ -102,20 +104,14 @@ class LaurentZ:
                     c[e] = s
                 else:
                     c.pop(e, None)
-        out = LaurentZ.__new__(LaurentZ)
-        object.__setattr__(out, "c", c)
-        return out
+        return LaurentZ._raw(c)
 
     def scaled(self, coeff, shift: int = 0) -> "LaurentZ":
         """self * coeff * z^shift."""
         coeff = _coeff(coeff)
         if not coeff:
             return LaurentZ.zero()
-        out = LaurentZ.__new__(LaurentZ)
-        object.__setattr__(
-            out, "c", {e + shift: _coeff(q * coeff) for e, q in self.c.items()}
-        )
-        return out
+        return LaurentZ._raw({e + shift: _coeff(q * coeff) for e, q in self.c.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentZ):
@@ -142,14 +138,20 @@ class LaurentZ:
                 parts.append("-" + _zpow(e))
             else:
                 parts.append(f"{q}*{_zpow(e)}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_sum(parts)
 
 
 def _zpow(e: int) -> str:
     return "z" if e == 1 else f"z^{e}"
+
+
+def _signed_sum(parts: List[str]) -> str:
+    """Rendered terms joined by " + ", or by " - " before a term that
+    starts with a minus sign."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _grade(m: Monomial):
@@ -512,10 +514,4 @@ def format_poly(p: MPoly) -> str:
         else:
             coeff = f"({c})"
             rendered.append(f"{coeff}*{mono}" if mono else coeff)
-    out = rendered[0]
-    for part in rendered[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+    return _signed_sum(rendered)

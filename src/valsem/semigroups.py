@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 from typing import List, Sequence
 
 from .errors import CapExceeded, UsageError, VerificationError
@@ -76,16 +76,13 @@ def stair_members(r: int, lo, hi, cap: int = DEFAULT_MEMBER_CAP) -> List[Dyadic]
     if not 0 <= lo < hi:
         raise UsageError("window must satisfy 0 <= lo < hi")
 
-    def frac_ceil(q: Fraction) -> int:
-        return -((-q.numerator) // q.denominator)
-
     def span(n: int):
         # k and the numerators [a_lo, a_hi[ of the members n + a/2^k in the window
         k = (stair_decompose(n)[0] + 1) * r
         scale = 1 << k
-        return k, max(0, frac_ceil((lo - n) * scale)), min(scale, frac_ceil((hi - n) * scale))
+        return k, max(0, ceil((lo - n) * scale)), min(scale, ceil((hi - n) * scale))
 
-    n_lo, n_hi = lo.numerator // lo.denominator, frac_ceil(hi)
+    n_lo, n_hi = floor(lo), ceil(hi)
     # whole unit intervals strictly inside the cover [n_lo, n_hi[, then
     # the members of its first and last interval, counted exactly
     count = max(0, stair_count_upto(r, n_hi - 1) - stair_count_upto(r, n_lo + 1))

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from .errors import UsageError, VerificationError
+from .errors import UsageError
 from .exact import SQRT2, Dyadic, LexVec, QuadReal, format_scalar
 from .genseq import SeqFamily, ValuationDef, choose_weights
 from .gensemi import DEFAULT_STATE_CAP, GenSemigroup
@@ -91,21 +91,19 @@ class CertRow:
 
 @dataclass
 class Certificate:
+    """first_bad is the first row whose check fails, set once the rows
+    are complete; None when every row holds."""
+
     kind: str
     valuation: dict
     params: dict
     header: str
     rows: List[CertRow] = field(default_factory=list)
+    first_bad: Optional[CertRow] = None
 
     @property
     def valid(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def first_bad(self) -> Optional[CertRow]:
-        for r in self.rows:
-            if not r.ok:
-                return r
-        return None
+        return self.first_bad is None
 
 
 def block_index(e: int, n: int) -> int:
@@ -231,6 +229,7 @@ def wild_certificate(
         ns = range(e << (i + 2), min(N + 1, e << (i + 3)))
         for rows in zip(*(block_rows(fam, bound, sense, i, ns) for fam, bound, sense in chains)):
             cert.rows.extend(rows)
+    cert.first_bad = next((r for r in cert.rows if not r.ok), None)
     return cert
 
 
@@ -276,11 +275,3 @@ def parse_bound(descr: str) -> Callable[[int], int]:
 
         return from_table
     raise UsageError(f"unknown bound descriptor {descr!r}")
-
-
-def require_valid(cert: Certificate) -> None:
-    bad = cert.first_bad()
-    if bad is not None:
-        raise VerificationError(
-            f"certificate invalid at n={bad.n} ({bad.chain}-chain, index {bad.i})"
-        )

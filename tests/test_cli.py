@@ -40,6 +40,14 @@ class TestValuate:
         code, _, err = run(capsys, "valuate", "--sigma", "2,5", "--poly", "2x")
         assert code == 2 and "parse error at position" in err
 
+    @pytest.mark.parametrize("poly,line", [
+        ("y#", "parse error at position 1: unexpected character '#'"),
+        ("2x", "parse error at position 1: unexpected trailing input"),
+    ])
+    def test_parse_error_states_position_once(self, capsys, poly, line):
+        code, _, err = run(capsys, "valuate", "--sigma", "2,5", "--poly", poly)
+        assert code == 2 and err == line + "\n"
+
     def test_missing_weights(self, capsys):
         code, _, err = run(capsys, "valuate", "--poly", "y")
         assert code == 2 and "sigma" in err
@@ -330,42 +338,56 @@ def test_cap_environment_read_only_where_a_cap_applies(capsys, monkeypatch):
 # certificate rows must keep every byte
 GOLDEN = [
     (["valuate", "--sigma", "2,5", "--poly", "y^2"],
-     "cc3921f4c695fad7949079fc8faabcd9d7cb3c0d8d35c20223e3ddba5676b39c"),
+     "cc3921f4c695fad7949079fc8faabcd9d7cb3c0d8d35c20223e3ddba5676b39c", 0),
     (["tilde", "--lambda", "21/4"],
-     "e3b2864826f4aeb647a88f912557baa35580e0566e0e306f594abb7c070ddb3d"),
+     "e3b2864826f4aeb647a88f912557baa35580e0566e0e306f594abb7c070ddb3d", 0),
     (["count", "--y1", "4", "--y2", "4"],
-     "1af11eeaff229aa3cf5e1357e7c9672888cc956e7562354a2e2033b2979bea7f"),
+     "1af11eeaff229aa3cf5e1357e7c9672888cc956e7562354a2e2033b2979bea7f", 0),
     (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5",
       "--lambda", "21/4 + 21/4*sqrt2", "--format", "json"],
-     "f8485b45c5f591fc74e16292fb7d7b77301c230377ec5ea936bc36ddb3ba2fe2"),
+     "f8485b45c5f591fc74e16292fb7d7b77301c230377ec5ea936bc36ddb3ba2fe2", 0),
     (["count", "--y1", "12", "--y2", "10", "--format", "json"],
-     "9f1165206b33ec3a55cca27e4db99062da61874238f51c0ebf8c25b956fbca5d"),
+     "9f1165206b33ec3a55cca27e4db99062da61874238f51c0ebf8c25b956fbca5d", 0),
     (["wild", "--kind", "both", "--N", "256", "--format", "csv"],
-     "0cd79daec6db68cffa400e70431792e690caabed43cdc728bd37487dd55a43dc"),
+     "0cd79daec6db68cffa400e70431792e690caabed43cdc728bd37487dd55a43dc", 0),
     (["wild", "--kind", "decreasing", "--N", "1024", "--format", "json",
       "--f", "neg_pow(2)", "--a", "3/2", "--c", "2"],
-     "9713c8c5a93a3fae182110b6653e238dbc91fa0e2700341639c08172196e0ba0"),
+     "9713c8c5a93a3fae182110b6653e238dbc91fa0e2700341639c08172196e0ba0", 0),
     (["wild", "--kind", "increasing", "--N", "1024", "--format", "csv",
       "--g", "pow:3", "--c", "3"],
-     "a7a50d32245bbbfc4d21312f182e57b259494929d4a976f70354e6461dfdc2a2"),
+     "a7a50d32245bbbfc4d21312f182e57b259494929d4a976f70354e6461dfdc2a2", 0),
     (["example3", "--format", "json"],
-     "5696154fc62f834161483eb30cb685dc5695a6f4c543b443fc6784ba3c0a373f"),
+     "5696154fc62f834161483eb30cb685dc5695a6f4c543b443fc6784ba3c0a373f", 0),
     (["example3", "--r", "2", "--y1", "37", "--y2-max", "1024", "--format", "csv"],
-     "1eaff0ad55b32e13e7ae013f3945b53a63804946bf7ec22406bd5302f6e9a0fe"),
+     "1eaff0ad55b32e13e7ae013f3945b53a63804946bf7ec22406bd5302f6e9a0fe", 0),
     (["example3", "--r", "3", "--y1", "100", "--y2-max", "2048", "--d", "1000",
       "--format", "pretty"],
-     "6bb835adc7bdb195654ef2818279e882b6c7367105bd6e4f271472dbee9490ad"),
+     "6bb835adc7bdb195654ef2818279e882b6c7367105bd6e4f271472dbee9490ad", 0),
     (["wild", "--kind", "both", "--N", "512", "--a2", "3/2", "--format", "json"],
-     "13e3840ecedd3051df421ecb3a3cc8c32789f1c7e1df04790a3d18f55c19fbc4"),
+     "13e3840ecedd3051df421ecb3a3cc8c32789f1c7e1df04790a3d18f55c19fbc4", 0),
     (["wild", "--kind", "increasing", "--N", "700", "--c", "2", "--format", "json"],
-     "9a4219c42b1ed7cd27a595e8f43b1ac1bf4f46bf1e17603cd44d2335a0fa9378"),
+     "9a4219c42b1ed7cd27a595e8f43b1ac1bf4f46bf1e17603cd44d2335a0fa9378", 0),
+    (["count", "--y1", "12", "--y2", "10", "--format", "csv"],
+     "6f42290f3e44e8255dca46b151334e96d9631b0308283383ac539c839f8840c3", 0),
+    (["wild", "--kind", "both", "--N", "300", "--format", "pretty"],
+     "dbd2dd8df2fd69aa22aa65305afd98c9b78df8eaa64127da8fba4dd3f9fb843a", 0),
+    # failing certificates: "kind decreasing, rows 57, FIRST BAD n=8 (P-chain)"
+    (["wild", "--kind", "decreasing", "--sigma", "1,1,1,1", "--N", "64", "--format", "pretty"],
+     "ecf55b7922cdf640da85d49d1f40fda31fe6085e04f318841fae5d456fd27d18", 1),
+    (["wild", "--kind", "decreasing", "--sigma", "1,1,1,1", "--N", "64", "--format", "json"],
+     "94afa5d6430b98cf4e599b08d5ec87569b26410c9b6cb6a30ffe00ba89fa20b7", 1),
+    # "count 535, bound 512, FAIL": every form is held to the three-variable
+    # Theorem 1 bound (CHANGES.md, FOUND); these are the bytes printed today
+    (["count", "--y1", "8", "--y2", "8", "--sigma", "2,5", "--tau", "1,3", "--format", "json"],
+     "6f25227150fc3e95a0b08fbf12c15af9c678cc1f359af1c46e0277451691d5cf", 1),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_golden_output(capsys, argv, digest):
+@pytest.mark.parametrize("argv,digest,exit_code", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_output(capsys, argv, digest, exit_code):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -77,3 +77,25 @@ def test_private_names_are_used():
         if name and name.startswith("_") and not name.startswith("__") and uses[name] < 2
     ]
     assert found == []
+
+
+def test_public_names_are_used():
+    # a public function, class or method whose name occurs once across the
+    # library, the README and the benchmark is its own definition: API that
+    # nothing calls, kept alive only by the tests
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(SRC.glob("*.py"))
+    texts = [*paths, root / "README.md", *sorted((root / "bench").glob("**/*.py"))]
+    uses = Counter(w for path in texts for w in re.findall(r"\w+", path.read_text()))
+    found = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            defs = [stmt] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(stmt, ast.ClassDef):
+                defs += [node for node in stmt.body if isinstance(node, ast.FunctionDef)]
+            found += [
+                f"{path.name}:{node.name}"
+                for node in defs
+                if not node.name.startswith("_") and uses[node.name] < 2
+            ]
+    assert found == []

@@ -11,7 +11,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from importlib import resources
 
 from valsem.cli import _certificate_json
-from valsem.errors import CapExceeded, UsageError, VerificationError
+from valsem.errors import CapExceeded, UsageError
 from valsem.exact import Dyadic, QuadReal, format_scalar
 from valsem.gensemi import DEFAULT_STATE_CAP, GenSemigroup
 from valsem.genseq import SeqFamily, ValuationDef, eta
@@ -24,7 +24,6 @@ from valsem.wild import (
     block_index,
     make_wild_valuation,
     parse_bound,
-    require_valid,
     wild_certificate,
 )
 
@@ -35,6 +34,10 @@ POS_SQ = lambda n: n**2
 # surrogates included
 TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
                          st.characters(exclude_categories=())), max_size=8)
+
+ROW = st.builds(CertRow, n=st.integers(), i=st.integers(), chain=TEXT, lam=TEXT,
+                 witness=TEXT, lhs=TEXT, rhs=TEXT, ok=st.booleans(),
+                 tilde_second=st.one_of(st.none(), TEXT))
 
 PARAM_GRID = [
     WildParams(),
@@ -170,8 +173,7 @@ class TestCertificates:
         cert = build(kind, params)
         assert cert.kind == kind
         assert cert.valid
-        assert cert.first_bad() is None
-        require_valid(cert)  # should not raise
+        assert cert.first_bad is None
         # rows cover every n in [n0, N], once per chain
         per_n = 2 if kind == "both" else 1
         ns = sorted({r.n for r in cert.rows})
@@ -192,10 +194,26 @@ class TestCertificates:
         assert vbad.p.second(2) >= NEG_SQ(2 << 5)
         cert = wild_certificate(vbad, params, f=NEG_SQ, N=512)
         assert not cert.valid
-        row = cert.first_bad()
+        row = cert.first_bad
         assert row is not None and row.i == 2
-        with pytest.raises(VerificationError, match="n="):
-            require_valid(cert)
+        assert row is next(r for r in cert.rows if not r.ok)
+
+    @staticmethod
+    def check_stored_verdict(cert):
+        # first_bad is set once, when the rows are complete; valid reads it
+        assert cert.first_bad is next((r for r in cert.rows if not r.ok), None)
+        assert cert.valid == all(r.ok for r in cert.rows)
+
+    @pytest.mark.parametrize("kind", ["decreasing", "increasing", "both"])
+    @pytest.mark.parametrize("params", PARAM_GRID)
+    def test_stored_verdict_matches_rows(self, kind, params):
+        self.check_stored_verdict(build(kind, params))
+
+    @pytest.mark.parametrize("kind", ["decreasing", "increasing"])
+    def test_stored_verdict_of_negative_controls(self, kind):
+        cert = wild_certificate(crushed(kind), WildParams(), f=NEG_SQ, g=POS_SQ, N=512)
+        assert not cert.valid
+        self.check_stored_verdict(cert)
 
     def test_increasing_negative_control(self):
         cert = wild_certificate(crushed("increasing"), WildParams(), g=POS_SQ, N=512)
@@ -323,12 +341,9 @@ class TestJson:
             valuation=st.dictionaries(TEXT, st.one_of(TEXT, st.lists(st.integers())), max_size=2),
             params=st.dictionaries(TEXT, st.one_of(TEXT, st.integers()), max_size=2),
             header=TEXT,
-            rows=st.lists(
-                st.builds(CertRow, n=st.integers(), i=st.integers(), chain=TEXT, lam=TEXT,
-                          witness=TEXT, lhs=TEXT, rhs=TEXT, ok=st.booleans(),
-                          tilde_second=st.one_of(st.none(), TEXT)),
-                max_size=3,
-            ),
+            rows=st.lists(ROW, max_size=3),
+            # valid reads first_bad alone, so the writer sees both verdicts
+            first_bad=st.one_of(st.none(), ROW),
         )
     )
     @settings(max_examples=100, deadline=None)
