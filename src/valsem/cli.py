@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -41,19 +40,6 @@ from .wild import (
 _SQRT2_FLOAT = 1.4142135623730951
 # the string escaping json.dumps applies under its default ensure_ascii
 _json_str = json.encoder.encode_basestring_ascii
-
-
-def _default_cap() -> int:
-    raw = os.environ.get("VALSEM_MAX_STATES")
-    if raw is None:
-        return DEFAULT_STATE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"VALSEM_MAX_STATES must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError("VALSEM_MAX_STATES must be positive")
-    return cap
 
 
 def _approx(x) -> float:
@@ -401,8 +387,8 @@ def _add_common(sp, formats, with_poly=False, with_weights=True):
 
 
 def _add_cap(sp):
-    sp.add_argument("--max-states", type=int, default=None,
-                    help="enumeration state cap (default from VALSEM_MAX_STATES)")
+    sp.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP,
+                    help="enumeration state cap (default %(default)s)")
 
 
 def _add_approx(sp):
@@ -471,11 +457,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "max_states"):  # registered only where a search takes a cap
-            if args.max_states is None:
-                args.max_states = _default_cap()
-            if args.max_states < 1:
-                raise UsageError("--max-states must be positive")
+        # --max-states is registered only where a search takes a cap
+        if getattr(args, "max_states", 1) < 1:
+            raise UsageError("--max-states must be positive")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error at position {exc.pos}: {exc}", file=sys.stderr)

@@ -271,23 +271,8 @@ class GenSemigroup:
                     cells[key] = (lo, mask)
         return fk, sk, m, cells
 
-    def enumerate_box(self, box: Box, cap: int = DEFAULT_STATE_CAP) -> List[LexVec]:
-        """Every distinct nonzero semigroup element inside the box,
-        exact and sorted."""
-        fk, sk, m, cells = self._box_cells(box, cap)
-        out = []
-        for key, (lo, mask) in cells.items():
-            p, q = divmod(key, m)
-            if not key:
-                mask -= 1  # the zero element is not a member
-            while mask:
-                low = mask & -mask
-                out.append(self._decode(p, q, fk, lo + low.bit_length() - 1, sk))
-                mask ^= low
-        return sorted(out)
-
     def count_box(self, box: Box, cap: int = DEFAULT_STATE_CAP) -> int:
-        """len(enumerate_box(box)) without materializing the vectors."""
+        """The number of distinct nonzero semigroup elements inside the box."""
         cells = self._box_cells(box, cap)[3]
         return sum(mask.bit_count() for _, mask in cells.values()) - bool(cells)
 

@@ -286,17 +286,15 @@ def reconstruct(v: ValuationDef, terms: List[ExpTerm]) -> MPoly:
     polynomial of x/u monomials first, so each distinct member product is
     multiplied out only once.
     """
-    groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[tuple, LaurentZ]] = {}
+    groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], MPoly] = {}
     for t in terms:
         a0 = t.alpha[0] if t.alpha else 0
         b0 = t.beta[0] if t.beta else 0
         suffix = (_canon_exps(t.alpha)[1:], _canon_exps(t.beta)[1:])
-        mono = (a0, 0, b0, 0)
-        bucket = groups.setdefault(suffix, {})
-        bucket[mono] = bucket[mono] + t.coeff if mono in bucket else t.coeff
+        part = MPoly({(a0, 0, b0, 0): t.coeff})
+        groups[suffix] = groups[suffix] + part if suffix in groups else part
     total = MPoly.zero()
-    for (sa, sb), bucket in groups.items():
-        part = MPoly(bucket)
+    for (sa, sb), part in groups.items():
         if sa:
             part = part * v.p.suffix_product(sa)
         if sb:

@@ -1,9 +1,12 @@
-"""Sparse polynomials in x, y, u, v with Laurent-in-z rational coefficients.
+"""Sparse polynomials in x, y, u, v and z^(+-1) over Q.
 
-Coefficients live in Q[z, z^-1]: every division performed by the
-expansion algorithms divides only by leading coefficients of the form
-c*z^k, so general rational functions of z never arise.  Division
-requests that would leave the Laurent ring are rejected.
+A polynomial is one dict from exponent vectors (x, y, u, v, z) to
+nonzero rationals; only the z exponent may be negative.  Every division
+performed by the expansion algorithms divides only by leading
+coefficients of the form c*z^k, so general rational functions of z
+never arise.  Division requests that would leave the ring are rejected.
+``LaurentZ`` is the z-coefficient of one (x, y, u, v) monomial, as an
+expansion term reports and prints it.
 """
 
 from __future__ import annotations
@@ -46,25 +49,8 @@ class LaurentZ:
         raise AttributeError("LaurentZ is immutable")
 
     @staticmethod
-    def _raw(c: dict) -> "LaurentZ":
-        out = LaurentZ.__new__(LaurentZ)
-        object.__setattr__(out, "c", c)
-        return out
-
-    @staticmethod
     def term(coeff, exp: int = 0) -> "LaurentZ":
         return LaurentZ({exp: coeff})
-
-    @staticmethod
-    def zero() -> "LaurentZ":
-        return LaurentZ()
-
-    @staticmethod
-    def one() -> "LaurentZ":
-        return LaurentZ.term(1)
-
-    def is_zero(self) -> bool:
-        return not self.c
 
     def unit_parts(self) -> Optional[Tuple[Fraction, int]]:
         """(c, k) if this equals c*z^k, else None."""
@@ -77,41 +63,6 @@ class LaurentZ:
         if not self.c:
             raise UsageError("ord of zero undefined")
         return min(self.c)
-
-    def __add__(self, other: "LaurentZ") -> "LaurentZ":
-        c = dict(self.c)
-        for e, q in other.c.items():
-            s = c.get(e, 0) + q
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return LaurentZ._raw(c)
-
-    def __neg__(self) -> "LaurentZ":
-        return LaurentZ._raw({e: -q for e, q in self.c.items()})
-
-    def __sub__(self, other: "LaurentZ") -> "LaurentZ":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentZ") -> "LaurentZ":
-        c = {}
-        for e1, q1 in self.c.items():
-            for e2, q2 in other.c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + q1 * q2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        return LaurentZ._raw(c)
-
-    def scaled(self, coeff, shift: int = 0) -> "LaurentZ":
-        """self * coeff * z^shift."""
-        coeff = _coeff(coeff)
-        if not coeff:
-            return LaurentZ.zero()
-        return LaurentZ._raw({e + shift: _coeff(q * coeff) for e, q in self.c.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentZ):
@@ -159,23 +110,25 @@ def _grade(m: Monomial):
 
 
 class MPoly:
-    """Sparse polynomial in x, y, u, v over LaurentZ coefficients.
+    """Sparse polynomial in x, y, u, v and z^(+-1) over Q.
 
-    Term iteration and serialization use graded-lex order on the
-    (x, y, u, v) exponent vector, highest terms first, so that output
-    is deterministic.
+    ``terms`` maps each exponent vector (x, y, u, v, z) to its nonzero
+    coefficient.  Term iteration and serialization group the terms by
+    their (x, y, u, v) part in graded-lex order, highest first, so that
+    output is deterministic.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        """From {(x, y, u, v): LaurentZ or rational}."""
         t = {}
         if terms:
             for m, c in terms.items():
-                if not isinstance(c, LaurentZ):
-                    c = LaurentZ.term(c)
-                if not c.is_zero():
-                    t[m] = c
+                for e, q in (c.c if isinstance(c, LaurentZ) else {0: c}).items():
+                    q = _coeff(q)
+                    if q:
+                        t[tuple(m) + (e,)] = q
         object.__setattr__(self, "terms", t)
 
     def __setattr__(self, *_):
@@ -193,21 +146,17 @@ class MPoly:
 
     @staticmethod
     def one() -> "MPoly":
-        return MPoly.constant(LaurentZ.one())
-
-    @staticmethod
-    def constant(c: LaurentZ) -> "MPoly":
-        return MPoly._raw({MONE: c} if not c.is_zero() else {})
+        return MPoly._raw({MONE + (0,): 1})
 
     @staticmethod
     def var(name: str) -> "MPoly":
         if name == "z":
-            return MPoly.constant(LaurentZ.term(1, 1))
+            return MPoly._raw({MONE + (1,): 1})
         if name not in VAR_INDEX:
             raise UsageError(f"unknown variable {name!r}")
-        m = [0, 0, 0, 0]
+        m = [0, 0, 0, 0, 0]
         m[VAR_INDEX[name]] = 1
-        return MPoly._raw({tuple(m): LaurentZ.one()})
+        return MPoly._raw({tuple(m): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -215,11 +164,11 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t[m] + c if m in t else c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
+            s = t.get(m, 0) + c
+            if s:
                 t[m] = s
+            else:
+                del t[m]
         return MPoly._raw(t)
 
     def __neg__(self) -> "MPoly":
@@ -230,18 +179,15 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                p = c1 * c2
-                if m in t:
-                    s = t[m] + p
-                    if s.is_zero():
-                        del t[m]
-                    else:
-                        t[m] = s
+        pairs = other.terms.items()
+        for (x1, y1, u1, v1, z1), c1 in self.terms.items():
+            for (x2, y2, u2, v2, z2), c2 in pairs:
+                m = (x1 + x2, y1 + y2, u1 + u2, v1 + v2, z1 + z2)
+                s = t.get(m, 0) + c1 * c2
+                if s:
+                    t[m] = s
                 else:
-                    t[m] = p
+                    del t[m]
         return MPoly._raw(t)
 
     def __pow__(self, n: int) -> "MPoly":
@@ -257,9 +203,14 @@ class MPoly:
         return out
 
     def scaled(self, coeff, zshift: int = 0) -> "MPoly":
-        return MPoly._raw(
-            {m: c.scaled(coeff, zshift) for m, c in self.terms.items()}
-        ) if coeff else MPoly.zero()
+        """self * coeff * z^zshift."""
+        coeff = _coeff(coeff)
+        if not coeff:
+            return MPoly.zero()
+        return MPoly._raw({
+            (x, y, u, v, z + zshift): _coeff(c * coeff)
+            for (x, y, u, v, z), c in self.terms.items()
+        })
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -267,7 +218,7 @@ class MPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def deg(self, var: int) -> int:
         """Degree in the given variable index; -1 for the zero polynomial."""
@@ -299,16 +250,18 @@ class MPoly:
         return MPoly._raw(t)
 
     def as_laurent(self) -> LaurentZ:
-        """The constant coefficient, if the polynomial is constant in x,y,u,v."""
-        if not self.terms:
-            return LaurentZ.zero()
-        if set(self.terms) != {MONE}:
+        """The coefficient in z, if the polynomial is constant in x,y,u,v."""
+        if any(m[:4] != MONE for m in self.terms):
             raise UsageError("polynomial is not constant in x, y, u, v")
-        return self.terms[MONE]
+        return LaurentZ({m[4]: c for m, c in self.terms.items()})
 
     def sorted_terms(self) -> Iterator[Tuple[Monomial, LaurentZ]]:
-        for m in sorted(self.terms, key=_grade, reverse=True):
-            yield m, self.terms[m]
+        """Each (x, y, u, v) monomial with its coefficient in z."""
+        groups = {}
+        for m, c in self.terms.items():
+            groups.setdefault(m[:4], {})[m[4]] = c
+        for m in sorted(groups, key=_grade, reverse=True):
+            yield m, LaurentZ(groups[m])
 
     def __repr__(self):
         return f"MPoly({format_poly(self)!r})"
@@ -320,20 +273,18 @@ class MPoly:
 def div_in_var(f: MPoly, g: MPoly, var: int) -> Tuple[MPoly, MPoly]:
     """Euclidean division f = q*g + r in the chosen variable.
 
-    Requires the leading coefficient of g in var to be a unit c*z^k of
-    the Laurent coefficient ring (constant in the other variables); q
-    and r are then unique with deg_var(r) < deg_var(g).
+    Requires the leading coefficient of g in var to be a unit c*z^k:
+    one term, free of the other variables.  q and r are then unique
+    with deg_var(r) < deg_var(g).
     """
     if g.is_zero():
         raise UsageError("division by zero polynomial")
     dg = g.deg(var)
-    lead = g.coeff_in_var(var, dg)
-    if set(lead.terms) != {MONE}:
+    lead = g.coeff_in_var(var, dg).terms
+    if len(lead) != 1 or any(m[:4] != MONE for m in lead):
         raise UsageError("division unsupported: leading coefficient not a unit")
-    unit = lead.terms[MONE].unit_parts()
-    if unit is None:
-        raise UsageError("division unsupported: leading coefficient not a unit")
-    c, k = unit
+    ((m, c),) = lead.items()
+    k = m[4]
     inv = Fraction(1, c) if isinstance(c, int) else 1 / c
     q = MPoly.zero()
     r = f
@@ -440,7 +391,7 @@ class _Parser:
             if e < 0:
                 if not is_z:
                     raise ParseError("negative exponent allowed only on z", pos)
-                return MPoly.constant(LaurentZ.term(1, e))
+                return MPoly._raw({MONE + (e,): 1})
             return base ** e
         return base
 
@@ -453,8 +404,8 @@ class _Parser:
                 kind2, den, pos2 = self.lex.next()
                 if kind2 != "num" or den == 0:
                     raise ParseError("bad rational literal", pos2)
-                return MPoly.constant(LaurentZ.term(Fraction(num, den))), False
-            return MPoly.constant(LaurentZ.term(num)), False
+                return MPoly({MONE: Fraction(num, den)}), False
+            return MPoly({MONE: num}), False
         if kind == "name":
             if val == "z":
                 return MPoly.var("z"), True

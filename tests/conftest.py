@@ -2,7 +2,7 @@ import random
 import time
 from math import comb
 
-from valsem.poly import LaurentZ, MPoly
+from valsem.poly import MONE, LaurentZ, MPoly
 
 
 def pytest_configure(config):
@@ -33,7 +33,7 @@ def random_poly(
             coeff = 0
             while coeff == 0:
                 coeff = rng.randint(-9, 9)
-            mono = MPoly.constant(LaurentZ.term(coeff, rng.randint(*z_range)))
+            mono = MPoly({MONE: LaurentZ.term(coeff, rng.randint(*z_range))})
             for var in variables:
                 cap = max_deg
                 if max_y_deg is not None and var in ("y", "v"):

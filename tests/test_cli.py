@@ -121,14 +121,6 @@ class TestTilde:
         )
         assert code == 3 and "cap" in err
 
-    def test_cap_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("VALSEM_MAX_STATES", "5")
-        code, _, err = run(capsys, "tilde", "--lambda", "40")
-        assert code == 3
-        monkeypatch.setenv("VALSEM_MAX_STATES", "bogus")
-        code, _, err = run(capsys, "tilde", "--lambda", "1")
-        assert code == 2 and "VALSEM_MAX_STATES" in err
-
     def test_approx(self, capsys):
         code, out, _ = run(capsys, "tilde", "--lambda", "21/2^2", "--approx")
         assert code == 0 and "[approx (5.25, -3)]" in out
@@ -328,12 +320,6 @@ def test_csv_offered_only_where_rendered(capsys, argv):
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
-def test_cap_environment_read_only_where_a_cap_applies(capsys, monkeypatch):
-    monkeypatch.setenv("VALSEM_MAX_STATES", "bogus")
-    code, out, _ = run(capsys, "valuate", "--sigma", "2,5", "--poly", "y^2")
-    assert code == 0 and out.splitlines()[0] == "(5, -2)"
-
-
 # sha256 of stdout for fixed invocations: tilde witnesses, box counts and
 # certificate rows must keep every byte
 GOLDEN = [
@@ -380,6 +366,14 @@ GOLDEN = [
     # Theorem 1 bound (CHANGES.md, FOUND); these are the bytes printed today
     (["count", "--y1", "8", "--y2", "8", "--sigma", "2,5", "--tau", "1,3", "--format", "json"],
      "6f25227150fc3e95a0b08fbf12c15af9c678cc1f359af1c46e0277451691d5cf", 1),
+    # multi-term Laurent coefficients, negative z powers and fractions
+    (["valuate", "--sigma", "2,5,3", "--poly", "(z + 1)*y^3 - 3/2*z^-1*x^2*y + x^7"],
+     "6810fb12f59fa66635c39aecf0c58167324025fe2d2cab49298e5ba3a8f94155", 0),
+    (["expand", "--sigma", "2,5,3", "--tau", "1,3,5",
+      "--poly", "(x + z*y - 3/2*u)*(v^3 + z^-2*x*u + (z^2 - 1)*y)", "--format", "json"],
+     "90e1179f702431a4ed02592553c40ccf31b4f67e87e01c6a8bdde817b9feee89", 0),
+    (["valuate", "--tau", "1,3,5", "--poly", "(z^2 + 2*z^-1)*v^5 + 1/3*u^9", "--format", "json"],
+     "8dfe01910fd04fb455b361e9d27264fdfaea292194fc495a0aae7da277e858e9", 0),
 ]
 
 

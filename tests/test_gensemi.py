@@ -6,7 +6,7 @@ import pytest
 from valsem.errors import CapExceeded, UsageError
 from valsem.exact import DYADIC2, QUAD2, Dyadic, QuadReal
 from valsem.genseq import ValuationDef, eta
-from valsem.gensemi import Box, GenSemigroup, box_bound_check, box_semigroup
+from valsem.gensemi import DEFAULT_STATE_CAP, Box, GenSemigroup, box_bound_check, box_semigroup
 from valsem.semigroups import theorem1_bound
 
 
@@ -53,6 +53,22 @@ def brute_tilde(gens, lam):
 
     rec(0, *_fc_parts(lam), Fraction(0), [])
     return best[0]
+
+
+def enumerate_box(sg, box, cap=DEFAULT_STATE_CAP):
+    """Every distinct nonzero semigroup element inside the box, exact and
+    sorted: each set bit of the cells that count_box counts, decoded."""
+    fk, sk, m, cells = sg._box_cells(box, cap)
+    out = []
+    for key, (lo, mask) in cells.items():
+        p, q = divmod(key, m)
+        if not key:
+            mask -= 1  # the zero element is not a member
+        while mask:
+            low = mask & -mask
+            out.append(sg._decode(p, q, fk, lo + low.bit_length() - 1, sk))
+            mask ^= low
+    return sorted(out)
 
 
 def brute_box(sg, box):
@@ -233,19 +249,19 @@ class TestEnumerateBox:
     def test_two_generator_example(self):
         sg = GenSemigroup(DYADIC2, [DYADIC2.vec(0, 1), DYADIC2.vec(1, 0)])
         box = Box(2, 2, DYADIC2.vec(0, 1), 1)
-        got = sg.enumerate_box(box)
+        got = enumerate_box(sg, box)
         assert got == [DYADIC2.vec(0, 1), DYADIC2.vec(1, 0), DYADIC2.vec(1, 1)]
         assert sg.count_box(box) == 3
 
     def test_empty_generators(self):
         sg = GenSemigroup(DYADIC2, [])
         box = Box(3, 3, DYADIC2.vec(0, 1), 1)
-        assert sg.enumerate_box(box) == []
+        assert enumerate_box(sg, box) == []
 
     def test_empty_windows(self):
         sg = GenSemigroup(DYADIC2, [DYADIC2.vec(1, 0)])
-        assert sg.enumerate_box(Box(0, 3, DYADIC2.vec(0, 1), 1)) == []
-        assert sg.enumerate_box(Box(3, 0, DYADIC2.vec(0, 1), 1)) == []
+        assert enumerate_box(sg, Box(0, 3, DYADIC2.vec(0, 1), 1)) == []
+        assert enumerate_box(sg, Box(3, 0, DYADIC2.vec(0, 1), 1)) == []
 
     def test_t1_must_be_level_one(self):
         with pytest.raises(UsageError):
@@ -255,7 +271,7 @@ class TestEnumerateBox:
         v = sigma_25()
         sg = box_semigroup(v)
         box = Box(6, 6, v.t1(), v.t2())
-        got = sg.enumerate_box(box)
+        got = enumerate_box(sg, box)
         assert got == sorted(got)
         assert len(got) == len(set(got))
         members = set(got)
@@ -282,7 +298,7 @@ class TestEnumerateBox:
         v = sigma_25()
         sg = box_semigroup(v)
         box = Box(3, 3, v.t1(), v.t2())
-        got = sg.enumerate_box(box)
+        got = enumerate_box(sg, box)
         # brute force: exponent vectors over all generators
         gens = sg.generators
         bounds = []
@@ -322,7 +338,7 @@ class TestBoxAgainstOracle:
             for y2 in range(13):
                 box = Box(y1, y2, v.t1(), v.t2())
                 oracle = brute_box(sg, box)
-                assert sg.enumerate_box(box) == oracle
+                assert enumerate_box(sg, box) == oracle
                 assert sg.count_box(box) == len(oracle)
 
     @pytest.mark.parametrize("y1,y2", [(6, 5), (4, 7)])
@@ -331,7 +347,7 @@ class TestBoxAgainstOracle:
         sg = box_semigroup(v)
         box = Box(y1, y2, v.t1(), v.t2())
         oracle = brute_box(sg, box)
-        assert sg.enumerate_box(box) == oracle
+        assert enumerate_box(sg, box) == oracle
         assert sg.count_box(box) == len(oracle)
 
     @pytest.mark.parametrize("spec,firsts,t2s", [
@@ -349,7 +365,7 @@ class TestBoxAgainstOracle:
         for t2 in t2s:
             box = Box(5, 9, spec.vec(0, Dyadic(1, 1)), t2)
             oracle = brute_box(sg, box)
-            assert sg.enumerate_box(box) == oracle
+            assert enumerate_box(sg, box) == oracle
             assert sg.count_box(box) == len(oracle)
 
     def test_cap_counts_window_words(self):

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valsem.errors import ParseError, UsageError
-from valsem.poly import LaurentZ, MPoly, div_in_var, format_poly, parse_poly
+from valsem.poly import MONE, LaurentZ, MPoly, div_in_var, format_poly, parse_poly
 
 from conftest import random_poly
 
 
 def laurent_strategy():
+    # constants in z: the ring laws of the z-coefficients, run on MPoly
     return st.dictionaries(
         st.integers(-4, 4), st.fractions(max_denominator=8), max_size=4
-    ).map(LaurentZ)
+    ).map(lambda d: MPoly({MONE: LaurentZ(d)}))
 
 
 class TestLaurentZ:
@@ -26,24 +27,26 @@ class TestLaurentZ:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a - b) + b == a
-        assert a * LaurentZ.one() == a
+        assert a * MPoly.one() == a
 
     def test_ord_z_additive(self):
         rng = random.Random(7)
         for _ in range(200):
-            a = LaurentZ({rng.randint(-5, 5): rng.randint(1, 9) for _ in range(3)})
-            b = LaurentZ({rng.randint(-5, 5): rng.randint(1, 9) for _ in range(3)})
+            a = MPoly({MONE: LaurentZ({rng.randint(-5, 5): rng.randint(1, 9) for _ in range(3)})})
+            b = MPoly({MONE: LaurentZ({rng.randint(-5, 5): rng.randint(1, 9) for _ in range(3)})})
             if a.is_zero() or b.is_zero():
                 continue
-            assert (a * b).ord_z() == a.ord_z() + b.ord_z()
+            assert (a * b).as_laurent().ord_z() == a.as_laurent().ord_z() + b.as_laurent().ord_z()
 
     def test_ord_of_zero_rejected(self):
         with pytest.raises(UsageError):
-            LaurentZ.zero().ord_z()
+            MPoly.zero().as_laurent().ord_z()
 
     def test_unit_parts(self):
         assert LaurentZ.term(Fraction(3, 2), -4).unit_parts() == (Fraction(3, 2), -4)
-        assert (LaurentZ.term(1, 0) + LaurentZ.term(1, 1)).unit_parts() is None
+        assert LaurentZ({0: 1, 1: 1}).unit_parts() is None
+        assert parse_poly("3/2*z^-4").as_laurent().unit_parts() == (Fraction(3, 2), -4)
+        assert parse_poly("1 + z").as_laurent().unit_parts() is None
 
 
 class TestMPoly:
@@ -75,6 +78,36 @@ class TestMPoly:
         assert not p.uses_only((0, 1))
 
 
+def _well_formed(p):
+    # a key is (x, y, u, v, z) with only z negative; a stored zero would
+    # keep the remainder loop of div_in_var from ending
+    return all(
+        len(m) == 5 and min(m[:4]) >= 0 and type(c) in (int, Fraction) and c != 0
+        for m, c in p.terms.items()
+    )
+
+
+class TestRingInvariant:
+    @given(st.integers(0, 2**32), st.sampled_from(range(4)), st.integers(0, 3),
+           st.fractions(max_denominator=6), st.integers(-3, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_keys_and_coefficients(self, seed, var, n, coeff, zshift):
+        rng = random.Random(seed)
+        names = ("x", "y", "u", "v")
+        a = random_poly(rng, names, max_terms=4, max_deg=3)
+        b = random_poly(rng, names, max_terms=4, max_deg=3)
+        # a divisor whose leading coefficient in var is a unit c*z^k
+        lead = LaurentZ.term(rng.choice([1, -1, 2, Fraction(-3, 2)]), rng.randint(-2, 2))
+        g = MPoly({MONE: lead}) * MPoly.var(names[var]) ** rng.randint(1, 3) + random_poly(
+            rng, names[:var] + names[var + 1:], max_terms=3, max_deg=2
+        )
+        q, r = div_in_var(a * b, g, var)
+        assert q * g + r == a * b
+        for p in (a + b, a - b, a - a, a * b, a**n, a.scaled(coeff, zshift),
+                  a.coeff_in_var(var, n), a.mul_var_pow(var, n), g, q, r):
+            assert _well_formed(p), p.terms
+
+
 class TestDivision:
     def test_examples(self):
         # y^2 divided by z^2*y^2 - x^5
@@ -91,7 +124,7 @@ class TestDivision:
             f = random_poly(rng, ("x", "y"), max_terms=5, max_deg=6)
             # divisor with unit leading coefficient in y
             lead_k = rng.randint(-2, 2)
-            g = MPoly.constant(LaurentZ.term(rng.choice([1, -1, 2]), lead_k)) * (
+            g = MPoly({MONE: LaurentZ.term(rng.choice([1, -1, 2]), lead_k)}) * (
                 MPoly.var("y") ** rng.randint(1, 3)
             ) + random_poly(rng, ("x",), max_terms=2, max_deg=3)
             q, r = div_in_var(f, g, 1)
@@ -126,7 +159,7 @@ class TestParser:
         assert parse_poly("(x + y)^2") == parse_poly("x^2 + 2*x*y + y^2")
 
     def test_negative_exponent_only_on_z(self):
-        assert parse_poly("z^-3") == MPoly.constant(LaurentZ.term(1, -3))
+        assert parse_poly("z^-3") == MPoly({MONE: LaurentZ.term(1, -3)})
         with pytest.raises(ParseError):
             parse_poly("x^-1")
 
