@@ -11,7 +11,14 @@ coordinate among semigroup elements whose first coordinate equals
 lambda.  It is found by an exact depth-first search over exponent
 vectors, pruned where even the least second coordinate per unit of
 first coordinate among the remaining generators cannot beat the best
-value found; the state cap counts the visited search states.
+value found; the state cap counts the visited search states.  When no
+generator has both a rational and a sqrt2 part, as on every valuation
+here, the two parts of lambda share no generator: the search runs once
+on the rational generators and once on the sqrt2 ones, the value is the
+sum of the two optima, and the states of both count against one cap.
+The witness stays the lexicographically greatest minimiser, because on
+a product of minimiser sets two elements first differ at a position of
+one part only, so the greatest is the part-wise greatest.
 
 A pseudo-box count is a forward DP over the first coordinates reachable
 under the box bound: each holds its tilde value and a bit mask of the
@@ -91,28 +98,41 @@ class GenSemigroup:
         scs = [g.second for g in seen]
         self._fk = max((k for _, _, k in fcs), default=0)
         self._sk = max((sc.k for sc in scs), default=0)
-        self._pos_at = []  # index in generators of each positive generator
+        pos_at = []  # index in generators of each positive generator
         self._pos_ints, self._zero_ints = [], []
         for i, (g, (p, q, k), sc) in enumerate(zip(seen, fcs, scs)):
             if p < 0 or q < 0:
                 raise UsageError(f"generator {g} has a negative first-coordinate part")
             s = sc.num << (self._sk - sc.k)
             if p or q:
-                self._pos_at.append(i)
+                pos_at.append(i)
                 self._pos_ints.append((p << (self._fk - k), q << (self._fk - k), s))
             elif s <= 0:
                 raise UsageError(f"generator {g} with zero first coordinate must be positive")
             else:
                 self._zero_ints.append(s)
-        # for each i, the generator among positive ones i.. with the least
-        # ratio s/(p + q*sqrt2), which bounds what a tilde search can add
-        self._least_ratio = []
-        for g in reversed(self._pos_ints):
-            least = self._least_ratio[-1] if self._least_ratio else g
-            if _sign_surd(g[2] * least[0] - least[2] * g[0], g[2] * least[1] - least[2] * g[1]) < 0:
-                least = g
-            self._least_ratio.append(least)
-        self._least_ratio.reverse()
+        # the independent parts of a tilde search: the rational and the
+        # sqrt2 generators, unless one generator has both parts; each is
+        # (takes p, takes q, positions in generators, (p, q, s) triples,
+        # least-ratio suffix table)
+        if any(p and q for p, q, _ in self._pos_ints):
+            axes = [(True, True)]
+        else:
+            axes = [(True, False), (False, True)]
+        self._parts = []
+        for take_p, take_q in axes:
+            part = [(i, g) for i, g in zip(pos_at, self._pos_ints)
+                    if take_p and g[0] or take_q and g[1]]
+            # for each j, the generator among the part's j.. with the least
+            # ratio s/(p + q*sqrt2), which bounds what a tilde search can add
+            least_ratio = []
+            for _, g in reversed(part):
+                least = least_ratio[-1] if least_ratio else g
+                if _sign_surd(g[2] * least[0] - least[2] * g[0], g[2] * least[1] - least[2] * g[1]) < 0:
+                    least = g
+                least_ratio.append(least)
+            least_ratio.reverse()
+            self._parts.append((take_p, take_q, [i for i, _ in part], [g for _, g in part], least_ratio))
 
     def _scaled_pos(self, k: int):
         """Positive generators with first coordinates over 2^max(fk, k),
@@ -137,6 +157,16 @@ class GenSemigroup:
         their second coordinates are positive, so dropping them only
         lowers the objective.  Of the exponent vectors attaining the least
         value, the witness is the lexicographically greatest.
+
+        When no generator has both a rational and a sqrt2 part, the
+        rational generators meet the rational part of lambda and the
+        sqrt2 generators its sqrt2 part, so the same search runs once per
+        part and the value is the sum of the part optima.  The minimisers
+        are then the products of the part minimisers, and at the first
+        position where two of them differ only that position's part
+        differs: the lexicographically greatest is the part-wise greatest,
+        placed at its generator positions.  The states of every part
+        count against the one cap.
         """
         target = _lattice(lam)
         if target is None:
@@ -146,53 +176,67 @@ class GenSemigroup:
             return None  # sums of the generators never leave their lattice
         if not (tp or tq):
             return TildeEntry(self.spec.zero(), (0,) * len(self.generators))
-        gens, fk = self._pos_ints, self._fk
+        fk = self._fk
         tp <<= fk - tk
         tq <<= fk - tk
-        n = len(gens)
-        least_ratio = self._least_ratio
-        best: Optional[Tuple[int, Tuple[int, ...]]] = None
+        searches = [(at, gens, least_ratio, tp if take_p else 0, tq if take_q else 0)
+                    for take_p, take_q, at, gens, least_ratio in self._parts
+                    if take_p and tp or take_q and tq]
+        if any(not gens for _, gens, _, _, _ in searches):
+            return None  # a part of lambda that no generator reaches
         states = 0
 
-        def rec(idx, rem_p, rem_q, sc, exps):
-            nonlocal states, best
-            states += 1
-            if states > cap:
-                raise CapExceeded("tilde knapsack state cap exceeded", cap)
-            if rem_p == 0 and rem_q == 0:
-                if best is None or sc < best[0]:
-                    best = (sc, tuple(exps) + (0,) * (n - len(exps)))
-                return
-            if idx == n:
-                return
-            if best is not None:
-                # every completion adds at least rho * (rem_p + rem_q*sqrt2)
-                # with rho = ks/(kp + kq*sqrt2); one that cannot beat best
-                # strictly would not replace it
-                kp, kq, ks = least_ratio[idx]
-                gap = best[0] - sc
-                if _sign_surd(ks * rem_p - gap * kp, ks * rem_q - gap * kq) >= 0:
-                    return
-            gp, gq, gsc = gens[idx]
-            if gp:
-                e_max = rem_p // gp
-                if gq:
-                    e_max = min(e_max, rem_q // gq)
-            else:
-                e_max = rem_q // gq
-            for e in range(e_max, -1, -1):
-                exps.append(e)
-                rec(idx + 1, rem_p - e * gp, rem_q - e * gq, sc + e * gsc, exps)
-                exps.pop()
+        def search(gens, least_ratio, tp, tq):
+            """Least (second coordinate, exponents over gens) of the
+            combinations of gens summing to (tp, tq), or None."""
+            n = len(gens)
+            best: Optional[Tuple[int, Tuple[int, ...]]] = None
 
-        rec(0, tp, tq, 0, [])
-        if best is None:
-            return None
-        sc, pos_exps = best
+            def rec(idx, rem_p, rem_q, sc, exps):
+                nonlocal states, best
+                states += 1
+                if states > cap:
+                    raise CapExceeded("tilde knapsack state cap exceeded", cap)
+                if rem_p == 0 and rem_q == 0:
+                    if best is None or sc < best[0]:
+                        best = (sc, tuple(exps) + (0,) * (n - len(exps)))
+                    return
+                if idx == n:
+                    return
+                if best is not None:
+                    # every completion adds at least rho * (rem_p + rem_q*sqrt2)
+                    # with rho = ks/(kp + kq*sqrt2); one that cannot beat best
+                    # strictly would not replace it
+                    kp, kq, ks = least_ratio[idx]
+                    gap = best[0] - sc
+                    if _sign_surd(ks * rem_p - gap * kp, ks * rem_q - gap * kq) >= 0:
+                        return
+                gp, gq, gsc = gens[idx]
+                if gp:
+                    e_max = rem_p // gp
+                    if gq:
+                        e_max = min(e_max, rem_q // gq)
+                else:
+                    e_max = rem_q // gq
+                for e in range(e_max, -1, -1):
+                    exps.append(e)
+                    rec(idx + 1, rem_p - e * gp, rem_q - e * gq, sc + e * gsc, exps)
+                    exps.pop()
+
+            rec(0, tp, tq, 0, [])
+            return best
+
+        total = 0
         witness = [0] * len(self.generators)
-        for i, e in zip(self._pos_at, pos_exps):
-            witness[i] = e
-        return TildeEntry(self._decode(tp, tq, fk, sc, self._sk), tuple(witness))
+        for at, gens, least_ratio, part_p, part_q in searches:
+            best = search(gens, least_ratio, part_p, part_q)
+            if best is None:
+                return None
+            sc, exps = best
+            total += sc
+            for i, e in zip(at, exps):
+                witness[i] = e
+        return TildeEntry(self._decode(tp, tq, fk, total, self._sk), tuple(witness))
 
     # -- boxes ----------------------------------------------------------
 

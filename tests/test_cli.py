@@ -115,6 +115,11 @@ class TestTilde:
         code, out, _ = run(capsys, "tilde", "--lambda", "1/3")
         assert code == 1 and out.strip() == "not in projected semigroup"
 
+    def test_unreached_sqrt2_part_exit_1(self, capsys):
+        # no P3 generator has a sqrt2 part: answered before any search
+        code, out, _ = run(capsys, "tilde", "--sigma", "2,5,3,7,9", "--lambda", "300 + sqrt2")
+        assert code == 1 and out.strip() == "not in projected semigroup"
+
     def test_cap_exceeded_exit_3(self, capsys):
         code, _, err = run(
             capsys, "tilde", "--lambda", "40", "--max-states", "5"
@@ -374,6 +379,18 @@ GOLDEN = [
      "90e1179f702431a4ed02592553c40ccf31b4f67e87e01c6a8bdde817b9feee89", 0),
     (["valuate", "--tau", "1,3,5", "--poly", "(z^2 + 2*z^-1)*v^5 + 1/3*u^9", "--format", "json"],
      "8dfe01910fd04fb455b361e9d27264fdfaea292194fc495a0aae7da277e858e9", 0),
+    # C5 tilde values whose rational and sqrt2 parts are found apart; the
+    # second has no rational part
+    (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5", "--lambda", "24 + 24*sqrt2"],
+     "edee10f61117f25039fb8397407ccaae2b984c6dc33d81b442e8e5b0346079bc", 0),
+    (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5", "--lambda", "13/2*sqrt2", "--format", "json"],
+     "129bd13fa0b6d47a8f14adb0b4ead885e8d517dedb65953d6eec7ed74cc18ee6", 0),
+    (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5", "--lambda", "33 + 17*sqrt2", "--format", "json"],
+     "2c5f2f1266e5dfdb7677173fb940c5d05c338a531e9d1340c733258c728be79c", 0),
+    # (40 + 40*sqrt2, -21), the value of the min-plus oracle in
+    # tests/test_gensemi.py::TestTildeParts::test_c5_matches_min_plus
+    (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5", "--lambda", "40 + 40*sqrt2", "--format", "json"],
+     "ceafd6a8dc75d012d34f4cb264870d1f7025ef70ee9b6671d4e13ab66d18fabe", 0),
 ]
 
 

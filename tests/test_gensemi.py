@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -53,6 +54,52 @@ def brute_tilde(gens, lam):
 
     rec(0, *_fc_parts(lam), Fraction(0), [])
     return best[0]
+
+
+def minplus_tilde(gens, lam):
+    """The same answer as brute_tilde by a min-plus knapsack DP over the
+    grid of (rational, sqrt2) first-coordinate parts below lam, scaled
+    to integers, with one table per suffix of the generators: the least
+    value, then the greatest exponent generator by generator that keeps
+    it.  Both parts are searched jointly, so it serves as an oracle for
+    the part split at sizes brute_tilde cannot reach."""
+    pos = [
+        (i, _fc_parts(g.coords[0]), g.coords[1].as_fraction())
+        for i, g in enumerate(gens)
+        if any(_fc_parts(g.coords[0]))
+    ]
+    lam_r, lam_s = _fc_parts(lam)
+    den = 1
+    for x in [lam_r, lam_s] + [c for _, rs, _ in pos for c in rs]:
+        den = den * x.denominator // gcd(den, x.denominator)
+    P, Q, W = int(lam_r * den), int(lam_s * den), int(lam_s * den) + 1
+    steps = [(int(r * den), int(s * den), sc) for _, (r, s), sc in pos]
+    table = [None] * ((P + 1) * W)
+    table[0] = Fraction(0)
+    tables = [table]  # tables[-1 - j]: the generators j.. only
+    for gp, gq, sc in reversed(steps):
+        table = list(table)
+        for p in range(gp, P + 1):
+            for q in range(gq, Q + 1):
+                prev = table[(p - gp) * W + q - gq]
+                if prev is not None and (table[p * W + q] is None or prev + sc < table[p * W + q]):
+                    table[p * W + q] = prev + sc
+        tables.append(table)
+    tables.reverse()
+    best = tables[0][P * W + Q]
+    if best is None:
+        return None
+    vec, rem_p, rem_q, acc = [0] * len(gens), P, Q, Fraction(0)
+    for (i, _, _), (gp, gq, sc), rest in zip(pos, steps, tables[1:]):
+        e = min(rem // g for rem, g in ((rem_p, gp), (rem_q, gq)) if g)
+        while True:
+            tail = rest[(rem_p - e * gp) * W + rem_q - e * gq]
+            if tail is not None and acc + e * sc + tail == best:
+                break
+            e -= 1
+        vec[i] = e
+        rem_p, rem_q, acc = rem_p - e * gp, rem_q - e * gq, acc + e * sc
+    return best, tuple(vec)
 
 
 def enumerate_box(sg, box, cap=DEFAULT_STATE_CAP):
@@ -225,6 +272,96 @@ class TestTilde:
         sg = box_semigroup(v)
         with pytest.raises(CapExceeded):
             sg.tilde(Dyadic(12), cap=10)
+
+
+def _c5():
+    return box_semigroup(ValuationDef.combined([2, 5, 3], [1, 3, 5]))
+
+
+class TestTildeParts:
+    """The rational and sqrt2 parts of lambda, searched apart when no
+    generator has both."""
+
+    def test_separable_sets_match_brute_force(self):
+        # few distinct values, so that ties occur inside a part and across
+        # the two parts; some sets lack one part, some lambdas one part
+        rng = random.Random(11)
+        seen = {"found": 0, "none": 0, "one part": 0}
+        for _ in range(300):
+            gens = [
+                QUAD2.vec(rng.choice([QuadReal(Dyadic(a, 1), 0), QuadReal(0, Dyadic(a, 1))]),
+                          rng.randint(-2, 2))
+                for a in (rng.randint(1, 6) for _ in range(rng.randint(1, 5)))
+            ]
+            if rng.random() < 0.3:
+                gens.append(QUAD2.vec(0, 1))
+            sg = GenSemigroup(QUAD2, gens)
+            assert len(sg._parts) == 2
+            lam = QuadReal(Dyadic(rng.choice([0, rng.randint(1, 14)]), 1),
+                           Dyadic(rng.choice([0, rng.randint(1, 14)]), 1))
+            oracle = brute_tilde(sg.generators, lam)
+            entry = sg.tilde(lam)
+            if oracle is None:
+                assert entry is None
+                seen["none"] += 1
+            else:
+                assert entry.tilde == QUAD2.vec(lam, Dyadic.from_fraction(oracle[0]))
+                assert entry.witness == oracle[1]
+                seen["found"] += 1
+            seen["one part"] += not (lam.rat and lam.surd)
+        assert min(seen.values()) >= 50
+
+    def test_mixed_surd_sets_match_brute_force(self):
+        # a generator at 1 + sqrt2 ties the parts: one joint search
+        rng = random.Random(13)
+        found = 0
+        for _ in range(200):
+            gens = [QUAD2.vec(QuadReal(1, 1), rng.randint(-2, 2))] + [
+                QUAD2.vec(QuadReal(Dyadic(rng.randint(0, 3), 1), Dyadic(rng.randint(0, 3), 1)),
+                          rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 4))
+            ]
+            gens = [g for g in gens if g.first]
+            sg = GenSemigroup(QUAD2, gens)
+            assert len(sg._parts) == 1
+            lam = QuadReal(Dyadic(rng.randint(0, 10), 1), Dyadic(rng.randint(0, 10), 1))
+            oracle = brute_tilde(sg.generators, lam)
+            assert minplus_tilde(sg.generators, lam) == oracle
+            entry = sg.tilde(lam)
+            if oracle is None:
+                assert entry is None
+            else:
+                found += 1
+                assert entry.tilde == QUAD2.vec(lam, Dyadic.from_fraction(oracle[0]))
+                assert entry.witness == oracle[1]
+        assert found >= 50
+
+    def test_unreached_part_is_none_without_search(self):
+        # no P3 generator has a sqrt2 part
+        sg = box_semigroup(ValuationDef.p3([2, 5, 3, 7, 9]))
+        assert sg.tilde(QuadReal(300, 1), cap=1) is None
+
+    @pytest.mark.parametrize("p,q", [(12, 12), (24, 24), (33, 17), (40, 40)])
+    def test_c5_matches_min_plus(self, p, q):
+        # a joint search of both parts needs 1,755,378 states at (40, 40);
+        # the split needs 1,343, so 5,000 holds any return to the joint one
+        sg = _c5()
+        lam = QuadReal(p, q)
+        oracle = minplus_tilde(sg.generators, lam)
+        entry = sg.tilde(lam, cap=5_000)
+        assert entry.tilde == QUAD2.vec(lam, Dyadic.from_fraction(oracle[0]))
+        assert entry.witness == oracle[1]
+        if (p, q) == (40, 40):
+            assert entry.tilde.second == -21
+
+    def test_parts_share_the_cap(self):
+        # (40, 0) takes 1,301 states and (0, 40) 42: each part fits under
+        # 1,320, both together do not
+        sg = _c5()
+        assert sg.tilde(QuadReal(40, 0), cap=1_320) is not None
+        assert sg.tilde(QuadReal(0, 40), cap=1_320) is not None
+        with pytest.raises(CapExceeded, match="tilde knapsack state cap exceeded"):
+            sg.tilde(QuadReal(40, 40), cap=1_320)
 
 
 class TestGenSemigroupBasics:
