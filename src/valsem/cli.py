@@ -80,7 +80,7 @@ def _format_term(vdef: ValuationDef, term) -> str:
     coeff = str(term.coeff)
     if "+" in coeff[1:] or "-" in coeff[1:]:
         coeff = f"({coeff})"
-    if coeff != "1" or (not term.alpha and not term.beta):
+    if coeff != "1" or not any(term.alpha + term.beta):
         factors.append(coeff)
     for fam, exps in ((vdef.p, term.alpha), (vdef.q, term.beta)):
         for i, e in enumerate(exps):

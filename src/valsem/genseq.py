@@ -17,15 +17,21 @@ exponent vectors in N x {0,1}^l over the family, obtained by a cascade
 of euclidean divisions in the top variable.  The valuation of a
 polynomial is the minimum over expansion terms of an exact weight
 vector, and that minimum is attained by exactly one term.
+
+Member values (eta_i, s_i) have denominators dividing 2^i, so a valuation
+holds them once as integers over 2^K, K the largest index with a weight.
+A term's value is an integer triple (p, q, s) for ((p + q*sqrt2)/2^K, s/2^K),
+q = 0 outside C5, ordered by the sign test exact._sign_surd, then by s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import UsageError, VerificationError
-from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal
+from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal, _sign_surd
 from .poly import VAR_INDEX, LaurentZ, MPoly, div_in_var
 
 _ETA_CACHE: List[Dyadic] = []
@@ -155,8 +161,8 @@ class ValuationDef:
 
     The families present fix the form: "P3" (x, y, z), "Q3" (u, v, z)
     or "C5" (all five variables, value group with a sqrt(2) first
-    coordinate).  The first coordinate of a value is read through
-    ``first``: in C5 the P part is its rational part and the Q part its
+    coordinate).  The first coordinate of a value is built by
+    ``embed``: in C5 the P part is its rational part and the Q part its
     sqrt(2) part.
     """
 
@@ -168,6 +174,13 @@ class ValuationDef:
         self.q = q
         self.form = "Q3" if p is None else "P3" if q is None else "C5"
         self.group: GroupSpec = QUAD2 if self.form == "C5" else DYADIC2
+        # each member value once, as integers over 2^k: (family, etas, seconds)
+        self._k = max(f.max_index for f in self.families())
+        self._lattice = []
+        for f in self.families():
+            values = [f.value(i) for i in range(f.max_index + 1)]
+            etas, seconds = ([d.num << (self._k - d.k) for d in col] for col in zip(*values))
+            self._lattice.append((f, etas, seconds))
 
     @staticmethod
     def p3(sigma) -> "ValuationDef":
@@ -187,13 +200,10 @@ class ValuationDef:
     def families(self) -> List[SeqFamily]:
         return [f for f in (self.p, self.q) if f is not None]
 
-    def first(self, *parts):
-        """The first coordinate with one part per family, in family order."""
-        return QuadReal(*parts) if self.group.quad else parts[0]
-
     def embed(self, fam: SeqFamily, x):
         """The first coordinate whose part for fam is x and whose other parts are 0."""
-        return self.first(*[x if f is fam else 0 for f in self.families()])
+        parts = [x if f is fam else 0 for f in self.families()]
+        return QuadReal(*parts) if self.group.quad else parts[0]
 
     def z_value(self) -> LexVec:
         return self.group.vec(0, 1)
@@ -303,22 +313,25 @@ def reconstruct(v: ValuationDef, terms: List[ExpTerm]) -> MPoly:
     return total
 
 
+def _lattice_point(v: ValuationDef, t: ExpTerm) -> Tuple[int, int, int]:
+    """t's value as (p, q, s) over 2^v._k, by dot products with v's table."""
+    parts = [0, 0]
+    s = t.coeff.ord_z() << v._k
+    for j, (fam, etas, seconds) in enumerate(v._lattice):
+        exps = t.alpha if fam.kind == "P" else t.beta
+        if any(exps[len(etas):]):
+            fam.weight(len(etas))  # raises: a member past the weights has no value
+        parts[j] = sum(map(mul, exps, etas))
+        s += sum(map(mul, exps, seconds))
+    return parts[0], parts[1], s
+
+
 def term_value(v: ValuationDef, t: ExpTerm) -> LexVec:
-    """(0, ord_z a) plus the weight vectors of the term's factors."""
-    second = Dyadic(t.coeff.ord_z())
-    parts = []
-    for fam, exps in ((v.p, t.alpha), (v.q, t.beta)):
-        if fam is None:
-            continue
-        part = Dyadic(0)
-        for i, e in enumerate(exps):
-            if e:
-                part = part + e * eta(i)
-                if i >= 1:
-                    second = second + e * fam.second(i)
-        parts.append(part)
-    # v.first gives the group's first-coordinate scalar, so no coercion
-    return LexVec(v.first(*parts), second)
+    """(0, ord_z a) plus the weight vectors of the term's factors, summed as
+    integers over 2^v._k; the one LexVec built is the result."""
+    p, q, s = _lattice_point(v, t)
+    first = QuadReal(Dyadic(p, v._k), Dyadic(q, v._k)) if v.group.quad else Dyadic(p, v._k)
+    return LexVec(first, Dyadic(s, v._k))
 
 
 @dataclass
@@ -329,19 +342,21 @@ class ValuationResult:
 
 
 def valuate(v: ValuationDef, f: MPoly) -> ValuationResult:
-    """nu(f) with the (unique) minimizing expansion term as witness."""
+    """nu(f) with the (unique) minimizing expansion term as witness, the
+    minimum taken over integer triples with the one sign test _sign_surd."""
     terms = expand(v, f)
-    best = best_term = None
+    best, (bp, bq, bs) = terms[0], _lattice_point(v, terms[0])
     tie = False
-    for t in terms:
-        val = term_value(v, t)
-        if best is None or val < best:
-            best, best_term, tie = val, t, False
-        elif val == best:
+    for t in terms[1:]:
+        p, q, s = _lattice_point(v, t)
+        c = _sign_surd(p - bp, q - bq) or (s > bs) - (s < bs)
+        if c < 0:
+            best, bp, bq, bs, tie = t, p, q, s, False
+        elif not c:
             tie = True
     if tie:
         raise VerificationError("expansion minimum attained by more than one term")
-    return ValuationResult(best, best_term, terms)
+    return ValuationResult(term_value(v, best), best, terms)
 
 
 _SYMBOLIC_MAX_INDEX = 6

@@ -85,6 +85,12 @@ class TestValuate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_member_past_the_weights_is_usage_error(self, capsys):
+        # y^4 expands to P_3, whose value needs sigma(3)
+        code, out, err = run(capsys, "valuate", "--sigma", "2,5", "--poly", "y^4")
+        assert code == 2 and out == ""
+        assert err == "error: weight at index 3 is not defined for this family\n"
+
     def test_quad_form(self, capsys):
         code, out, _ = run(
             capsys, "valuate", "--sigma", "2,5", "--tau", "1,3", "--poly", "x*u"
@@ -391,6 +397,19 @@ GOLDEN = [
     # tests/test_gensemi.py::TestTildeParts::test_c5_matches_min_plus
     (["tilde", "--sigma", "2,5,3", "--tau", "1,3,5", "--lambda", "40 + 40*sqrt2", "--format", "json"],
      "ceafd6a8dc75d012d34f4cb264870d1f7025ef70ee9b6671d4e13ab66d18fabe", 0),
+    # C5 minima decided by the sign of p + q*sqrt2 with p, q of opposite
+    # signs: 3 against 2*sqrt2 (9 > 8) and 7 against 5*sqrt2 (49 < 50)
+    (["valuate", "--sigma", "2,5,3", "--tau", "1,3,5", "--poly", "x^3 + u^2", "--format", "json"],
+     "45485d28b66c5f7bbceb5a01304c9a917f86ee8646bac34122fe7c6c28e4fab0", 0),
+    (["valuate", "--sigma", "2,5,3", "--tau", "1,3,5", "--poly", "x^7 + z^-1*u^5"],
+     "c41186a2df439e9f3642190251a343f2652ea9d3bf2d7f4cbbf42c31af274e39", 0),
+    (["valuate", "--sigma", "2,5,3", "--tau", "1,3,5", "--poly", "(x^2*y + z*u*v^3)*(y^3 - x*u^2)"],
+     "c7b28af40d5fc269f30e7fd2c6f3a50cb49daff9b63679e7a6d001e630bf92d3", 0),
+    # a constant expansion term prints as its coefficient
+    (["valuate", "--sigma", "2,5", "--poly", "1"],
+     "8dd135694de3c6b14f673a78722567b567cc5b779e2aa8e8a94e4e24c9e6fdfa", 0),
+    (["expand", "--sigma", "2,5", "--poly", "1+x", "--format", "json"],
+     "7e3769804812fe32234b107f01dde9ec54fa4118d78f25f86003d13c20196c71", 0),
 ]
 
 

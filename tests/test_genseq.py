@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valsem.errors import UsageError
-from valsem.exact import DYADIC2, QUAD2, Dyadic, QuadReal
+from valsem.exact import DYADIC2, QUAD2, Dyadic, LexVec, QuadReal
 from valsem.genseq import (
+    ExpTerm,
     SeqFamily,
     ValuationDef,
     check_key_identity,
@@ -205,6 +208,109 @@ class TestValuation:
             assert vs >= min(vf, vg)
             if vf != vg:
                 assert vs == min(vf, vg)
+
+
+def oracle_term_value(v, t):
+    """term_value as a sum of Dyadics, one member at a time."""
+    second = Dyadic(t.coeff.ord_z())
+    parts = []
+    for fam, exps in ((v.p, t.alpha), (v.q, t.beta)):
+        if fam is None:
+            continue
+        part = Dyadic(0)
+        for i, e in enumerate(exps):
+            if e:
+                part = part + e * eta(i)
+                if i >= 1:
+                    second = second + e * fam.second(i)
+        parts.append(part)
+    return LexVec(QuadReal(*parts) if v.group.quad else parts[0], second)
+
+
+def check_against_oracle(v, f):
+    """term_value equals the oracle on every term of f, and valuate
+    returns the least oracle value with its unique argmin as witness."""
+    terms = expand(v, f)
+    values = [oracle_term_value(v, t) for t in terms]
+    got = [term_value(v, t) for t in terms]
+    assert got == values
+    assert [str(x) for x in got] == [str(x) for x in values]
+    low = min(values)
+    assert values.count(low) == 1
+    res = valuate(v, f)
+    assert res.value == low and str(res.value) == str(low)
+    assert res.witness == terms[values.index(low)]
+    return values
+
+
+C5 = ([2, 5, 3], [1, 3, 5])
+
+
+class TestIntegerLattice:
+    @given(st.sampled_from(["P3", "Q3", "C5"]), st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dyadic_oracle(self, form, sigma, tau, seed):
+        rng = random.Random(seed)
+        if form == "P3":
+            v, names = ValuationDef.p3(sigma), ("x", "y")
+        elif form == "Q3":
+            v, names = ValuationDef.q3(tau), ("u", "v")
+        else:
+            v, names = ValuationDef.combined(sigma, tau), ("x", "y", "u", "v")
+        f = random_poly(rng, names, max_terms=5, max_deg=4)
+        try:
+            check_against_oracle(v, f)
+        except UsageError as exc:
+            # a member past the weights: the oracle and valuate fail alike
+            assert "is not defined for this family" in str(exc)
+            with pytest.raises(UsageError) as again:
+                valuate(v, f)
+            assert str(again.value) == str(exc)
+
+    @pytest.mark.parametrize("text", [
+        "x^3 + u^2",
+        "x^7 + z^-1*u^5",
+        "x^3*y + z^-1*u^2*v^3 - 2*x*u*v",
+        "(x^2*y + z*u*v^3)*(y^3 - x*u^2)",
+    ])
+    def test_c5_opposite_sign_differences(self, text):
+        v = ValuationDef.combined(*C5)
+        values = check_against_oracle(v, parse_poly(text))
+        # two terms whose first coordinates differ by p + q*sqrt2 with
+        # p and q of opposite signs, where the sign needs p^2 against 2q^2
+        diffs = [a.first - b.first for a in values for b in values]
+        assert any(d.rat.sign() * d.surd.sign() < 0 for d in diffs)
+
+    def test_past_the_weights_rejected(self):
+        v = ValuationDef.p3(SIGMA)
+        (t,) = [t for t in expand(v, parse_poly("y^4")) if len(t.alpha) == 4]
+        with pytest.raises(UsageError, match="weight at index 3 is not defined"):
+            term_value(v, t)
+        # zero exponents past the weights are no member at all
+        assert term_value(v, ExpTerm(LaurentZ.term(1, 0), (1, 0, 0, 0))) == v.gen_value(v.p, 0)
+
+    def test_warm_valuate_builds_no_dyadic_per_term(self, monkeypatch):
+        v = ValuationDef.combined(*C5)
+        f = parse_poly(
+            "(x^3*y^2 + z*u*v^3 - 2*x*y^3*v + z^-2*u^2*v + y*v^2)"
+            "*(y^3*v - x*u^2*y + 3*z*x^2*v^3 + u*y^2 + x*v)"
+        )
+        want = valuate(v, f)  # fills the family caches
+        assert len(want.expansion) == 106
+        calls = []
+        init = Dyadic.__init__
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Dyadic, "__init__", counting_init)
+        got = valuate(v, f)
+        monkeypatch.undo()
+        assert got.value == want.value
+        # the answer's three coordinates, not a sum per term
+        assert len(calls) <= 8
 
 
 class TestKeyIdentities:
