@@ -2,18 +2,23 @@
 
 Subcommands: valuate, expand, tilde, count, example3, wild, selftest.
 Exit codes: 0 success/verified, 1 verification failed, 2 usage or parse
-error, 3 resource cap exceeded.
+error, or output that cannot be written (an unwritable --out, or a
+stdout closed early, as by `| head`), 3 resource cap exceeded.
+Certificates and CSV tables are written one row at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import CapExceeded, ParseError, UsageError, VerificationError
 from .exact import Dyadic, QuadReal, format_lexvec, format_scalar, parse_scalar
@@ -91,41 +96,52 @@ def _format_term(vdef: ValuationDef, term) -> str:
     return " * ".join(factors)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write output file: {exc}")
-    else:
-        print(text)
+@contextlib.contextmanager
+def _output(args):
+    """The stream a command writes to: stdout, or the --out file, which
+    is opened only here, once the result is computed."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}")
+
+
+def _emit(args, text) -> None:
+    """Write text, a str or an iterable of str pieces, then one "\n":
+    the bytes print(text) gives, but the pieces are written in order and
+    never joined."""
+    with _output(args) as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
+        fh.write("\n")
 
 
 def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, indent=2))
 
 
-def _certificate_json(cert: Certificate) -> str:
+def _certificate_json(cert: Certificate):
     """The text json.dumps(payload, indent=2) gives for the certificate's
-    payload: kind, valuation, params, header, rows, valid.  Each row is
-    rendered on its own, so no dict per row and no encoder chunk list
-    is ever built."""
-    head = {"kind": cert.kind, "valuation": cert.valuation, "params": cert.params,
-            "header": cert.header}
-    parts = [f'  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
-             for key, value in head.items()]
-    rows = ",\n".join(map(_row_json, cert.rows))
-    parts.append('  "rows": ' + (f"[\n{rows}\n  ]" if rows else "[]"))
-    parts.append(f'  "valid": {"true" if cert.valid else "false"}')
-    return "{\n" + ",\n".join(parts) + "\n}"
+    payload (kind, valuation, params, header, rows, valid), as pieces:
+    the head, each row with the separator before it, then the tail.
+    Each row is rendered on its own, so no dict per row is built and no
+    piece is longer than one row."""
+    head = json.dumps({"kind": cert.kind, "valuation": cert.valuation, "params": cert.params,
+                       "header": cert.header}, indent=2)
+    tail = ("\n  ]" if cert.rows else "]") + f',\n  "valid": {"true" if cert.valid else "false"}\n}}'
+    # the rows and the verdict go where the head's closing "\n}" stood
+    seps = itertools.chain(["\n"], itertools.repeat(",\n"))
+    return itertools.chain([head[:-2] + ',\n  "rows": ['], map(_row_json, cert.rows, seps), [tail])
 
 
-def _row_json(r: CertRow) -> str:
+def _row_json(r: CertRow, sep: str) -> str:
     s = _json_str
     tail = f',\n      "tilde_second": {s(r.tilde_second)}' if r.tilde_second else ""
     return (
-        f'    {{\n      "n": {int.__repr__(r.n)},\n      "i": {int.__repr__(r.i)},\n'
+        f'{sep}    {{\n      "n": {int.__repr__(r.n)},\n      "i": {int.__repr__(r.i)},\n'
         f'      "chain": {s(r.chain)},\n      "lambda": {s(r.lam)},\n'
         f'      "witness": {s(r.witness)},\n      "lhs": {s(r.lhs)},\n'
         f'      "rhs": {s(r.rhs)},\n      "ok": {"true" if r.ok else "false"}{tail}\n    }}'
@@ -133,11 +149,12 @@ def _row_json(r: CertRow) -> str:
 
 
 def _emit_csv(args, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, buf.getvalue().rstrip("\n"))
+    """header, then rows (any iterable of rows), as CSV with "\r\n" line
+    ends: the csv writer renders and writes each row on its own."""
+    with _output(args) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit_table(args, kind: str, parameters: dict, header, table, pretty: str) -> None:
@@ -317,7 +334,7 @@ def cmd_wild(args) -> int:
         _emit_csv(
             args,
             header,
-            [[r.n, r.i, r.chain, r.lam, r.witness, r.lhs, r.rhs, r.ok] for r in cert.rows],
+            map(attrgetter("n", "i", "chain", "lam", "witness", "lhs", "rhs", "ok"), cert.rows),
         )
     elif args.format == "pretty":
         bad = cert.first_bad
@@ -453,6 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at /dev/null, so that the flush at
+    exit does not fail again on the closed pipe.  Only a stdout with a
+    real descriptor is touched: a StringIO in its place has none."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -460,7 +490,14 @@ def main(argv=None) -> int:
         # --max-states is registered only where a search takes a cap
         if getattr(args, "max_states", 1) < 1:
             raise UsageError("--max-states must be positive")
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here rather than in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        _silence_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error at position {exc.pos}: {exc}", file=sys.stderr)
         return 2

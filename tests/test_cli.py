@@ -3,13 +3,19 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valsem
 from valsem.cli import main
 
 
@@ -296,6 +302,71 @@ class TestWild:
         for argv, n0 in ((["--N", "7"], 8), (["--a", "2", "--N", "20"], 32)):
             code, _, err = run(capsys, "wild", "--kind", "decreasing", *argv)
             assert code == 2 and f"certificate range [{n0}, " in err and "is empty" in err
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["wild", "--kind", "both", "--N", "512", "--format", "json"],
+        ["wild", "--kind", "both", "--N", "512", "--format", "csv"],
+        ["wild", "--kind", "decreasing", "--N", "512", "--format", "pretty"],
+        ["example3", "--format", "csv"],
+        ["example3", "--format", "json"],
+    ])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        dst = tmp_path / "o"
+        code_out, out_out, _ = run(capsys, *argv, "--out", str(dst))
+        assert code == code_out == 0 and out and out_out == ""
+        assert dst.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["wild", "--kind", "both", "--N", "64", "--max-states", "1"], 3),
+        (["wild", "--kind", "decreasing", "--N", "7", "--format", "json"], 2),
+        (["example3", "--r", "0", "--format", "csv"], 2),
+    ])
+    def test_failed_command_leaves_out_untouched(self, capsys, tmp_path, argv, exit_code):
+        dst = tmp_path / "o"
+        dst.write_bytes(b"kept\r\n")
+        code, out, _ = run(capsys, *argv, "--out", str(dst))
+        assert code == exit_code and out == ""
+        assert dst.read_bytes() == b"kept\r\n"
+
+    def test_closed_stdout_exits_2(self):
+        src = str(Path(valsem.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "valsem.cli", "wild", "--kind", "both", "--N", "4096",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert proc.returncode == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("fmt,ratio", [("json", 3.5), ("csv", 10)])
+    def test_peak_memory_follows_the_output(self, fmt, ratio):
+        # the traced peak of a warm run over its output's length; a writer
+        # that joins the whole text needs 5.4x (json) and 12.6x (csv)
+        argv = ["wild", "--kind", "both", "--N", "4096", "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < ratio * len(out.getvalue())
 
 
 class TestSelftest:

@@ -318,7 +318,7 @@ class TestJson:
         )
         for kind in ("decreasing", "both"):
             cert = build(kind, WildParams(), N=64)
-            payload = json.loads(_certificate_json(cert))
+            payload = json.loads("".join(_certificate_json(cert)))
             jsonschema.validate(payload, schema)
             assert payload["valid"] is True
             assert payload == oracle_dict(cert)
@@ -332,7 +332,7 @@ class TestJson:
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_writer_matches_json_dumps(self, kind, params):
         cert = build(kind, params)
-        assert _certificate_json(cert) == json.dumps(oracle_dict(cert), indent=2)
+        assert "".join(_certificate_json(cert)) == json.dumps(oracle_dict(cert), indent=2)
 
     @given(
         st.builds(
@@ -348,7 +348,15 @@ class TestJson:
     )
     @settings(max_examples=100, deadline=None)
     def test_writer_escapes_like_json_dumps(self, cert):
-        assert _certificate_json(cert) == json.dumps(oracle_dict(cert), indent=2)
+        assert "".join(_certificate_json(cert)) == json.dumps(oracle_dict(cert), indent=2)
+
+    def test_writer_yields_row_sized_pieces(self):
+        # a writer that joins the whole text, or even all rows, fails here
+        cert = build("both", WildParams(), N=4096)
+        pieces = list(_certificate_json(cert))
+        assert len(cert.rows) > 8000
+        assert len(cert.rows) < len(pieces) <= 2 * len(cert.rows) + 2
+        assert max(map(len, pieces)) < 1024
 
 
 class TestParseBound:
