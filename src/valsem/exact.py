@@ -8,7 +8,9 @@ the group QUAD2 (form C5).
 
 No floating point is used anywhere; every comparison is decided by
 integer arithmetic, and a scalar compares exactly with any int or
-Fraction, dyadic or not.
+Fraction, dyadic or not.  Searches and valuations run on integers, a
+first coordinate encoded by _lattice and a value decoded by _decode, so
+the scalars keep only + and products with an int or a Dyadic.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from sys import hash_info
+from typing import Optional, Tuple
 
 from .errors import ParseError, UsageError
 
@@ -102,18 +105,6 @@ class Dyadic(_Ordered):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Dyadic(-self.num, self.k)
-
-    def __sub__(self, other):
-        o = Dyadic._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = Dyadic._coerce(other)
         if o is NotImplemented:
@@ -175,6 +166,23 @@ def _sign_surd(p: int, q: int) -> int:
     return 1 if p > 0 else -1
 
 
+def _lattice(x) -> Optional[Tuple[int, int, int]]:
+    """A first coordinate as integers (p, q, k) with value
+    (p + q*sqrt2)/2^k, or None for a rational that is not dyadic."""
+    if isinstance(x, Fraction) and x.denominator & (x.denominator - 1):
+        return None
+    x = QuadReal._coerce(x)
+    if x is NotImplemented:
+        raise UsageError("first coordinate must be a dyadic or quadratic scalar")
+    return x._ints()
+
+
+def _decode(quad: bool, p: int, q: int, fk: int, s: int, sk: int) -> LexVec:
+    """((p + q*sqrt2)/2^fk, s/2^sk), a QuadReal first coordinate if quad."""
+    first = QuadReal(Dyadic(p, fk), Dyadic(q, fk)) if quad else Dyadic(p, fk)
+    return LexVec(first, Dyadic(s, sk))
+
+
 class QuadReal(_Ordered):
     """An exact real p + q*sqrt(2) with dyadic parts p, q.
 
@@ -216,28 +224,9 @@ class QuadReal(_Ordered):
             return NotImplemented
         return QuadReal(self.rat + o.rat, self.surd + o.surd)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadReal(-self.rat, -self.surd)
-
-    def __sub__(self, other):
-        o = QuadReal._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Dyadic, Fraction)):
             return QuadReal(self.rat * other, self.surd * other)
-        if isinstance(other, QuadReal):
-            return QuadReal(
-                self.rat * other.rat + 2 * self.surd * other.surd,
-                self.rat * other.surd + self.surd * other.rat,
-            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -322,14 +311,6 @@ class LexVec(_Ordered):
         if not isinstance(other, LexVec):
             return NotImplemented
         return LexVec(self.first + other.first, self.second + other.second)
-
-    def __sub__(self, other):
-        if not isinstance(other, LexVec):
-            return NotImplemented
-        return LexVec(self.first - other.first, self.second - other.second)
-
-    def __neg__(self):
-        return LexVec(-self.first, -self.second)
 
     def __mul__(self, n: int):
         if not isinstance(n, int):

@@ -33,21 +33,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CapExceeded, UsageError
-from .exact import Dyadic, GroupSpec, LexVec, QuadReal, _sign_surd
+from .exact import GroupSpec, LexVec, _decode, _lattice, _sign_surd
 from .semigroups import theorem1_bound
 
 DEFAULT_STATE_CAP = 1_000_000
-
-
-def _lattice(x) -> Optional[Tuple[int, int, int]]:
-    """A first coordinate as integers (p, q, k) with value
-    (p + q*sqrt2)/2^k, or None for a rational that is not dyadic."""
-    if isinstance(x, Fraction) and x.denominator & (x.denominator - 1):
-        return None
-    x = QuadReal._coerce(x)
-    if x is NotImplemented:
-        raise UsageError("first coordinate must be a dyadic or quadratic scalar")
-    return x._ints()
 
 
 @dataclass(frozen=True)
@@ -71,6 +60,8 @@ class Box:
     t2: object
 
     def __post_init__(self):
+        if not (isinstance(self.y1, int) and isinstance(self.y2, int)):
+            raise UsageError("box windows must be integers")
         if self.y1 < 0 or self.y2 < 0:
             raise UsageError("box windows must be nonnegative")
         if self.t1.first:
@@ -142,10 +133,6 @@ class GenSemigroup:
             return self._pos_ints, self._fk
         d = k - self._fk
         return [(p << d, q << d, s) for p, q, s in self._pos_ints], k
-
-    def _decode(self, p: int, q: int, fk: int, s: int, sk: int) -> LexVec:
-        fc = QuadReal(Dyadic(p, fk), Dyadic(q, fk)) if self.spec.quad else Dyadic(p, fk)
-        return LexVec(fc, Dyadic(s, sk))
 
     # -- tilde ----------------------------------------------------------
 
@@ -236,7 +223,7 @@ class GenSemigroup:
             total += sc
             for i, e in zip(at, exps):
                 witness[i] = e
-        return TildeEntry(self._decode(tp, tq, fk, total, self._sk), tuple(witness))
+        return TildeEntry(_decode(self.spec.quad, tp, tq, fk, total, self._sk), tuple(witness))
 
     # -- boxes ----------------------------------------------------------
 

@@ -31,22 +31,23 @@ from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import UsageError, VerificationError
-from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal, _sign_surd
+from .exact import DYADIC2, QUAD2, Dyadic, GroupSpec, LexVec, QuadReal, _decode, _sign_surd
 from .poly import VAR_INDEX, LaurentZ, MPoly, div_in_var
 
-_ETA_CACHE: List[Dyadic] = []
+
+def _eta_num(i: int) -> int:
+    """eta_i * 2^i = (4^(i+1) - 1)/3, an odd integer."""
+    return ((1 << (2 * i + 2)) - 1) // 3
 
 
 def eta(i: int) -> Dyadic:
-    """eta_0 = 1, eta_{i+1} = 2*eta_i + 1/2^(i+1); exact dyadic, computed
-    from the closed form (1/3)(2^(i+2) - 1/2^i) = ((2^(2i+2) - 1) / 3) / 2^i,
-    whose numerator is odd."""
+    """eta_0 = 1, eta_{i+1} = 2*eta_i + 1/2^(i+1); exact dyadic, from the
+    closed form (1/3)(2^(i+2) - 1/2^i) = _eta_num(i)/2^i."""
+    if not isinstance(i, int):
+        raise UsageError(f"eta index {i!r} is not an integer")
     if i < 0:
         raise UsageError("eta index must be nonnegative")
-    while len(_ETA_CACHE) <= i:
-        j = len(_ETA_CACHE)
-        _ETA_CACHE.append(Dyadic(((1 << (2 * j + 2)) - 1) // 3, j))
-    return _ETA_CACHE[i]
+    return Dyadic(_eta_num(i), i)
 
 
 class SeqFamily:
@@ -63,13 +64,18 @@ class SeqFamily:
             raise UsageError(f"unknown family kind {kind!r}")
         self.weights = list(weights)
         for i, w in enumerate(self.weights, start=1):
+            if not isinstance(w, int):
+                raise UsageError(f"weight {w!r} at index {i} is not an integer")
             if w < 0 or (kind == "Q" and w < 1):
                 raise UsageError(f"invalid weight {w} at index {i}")
         self.kind = kind
         self.root, top = ("x", "y") if kind == "P" else ("u", "v")
         self.main0, self.main1 = VAR_INDEX[self.root], VAR_INDEX[top]
         self._polys: List[MPoly] = [MPoly.var(self.root), MPoly.var(top)]
-        self._seconds: List[Dyadic] = [Dyadic(0)]
+        self._seconds = [0]  # s_i * 2^i, from s_i = (s_{i-1} + b_i - a_i)/2
+        for i in range(1, self.max_index + 1):
+            a, b = self.shifts(i)
+            self._seconds.append(self._seconds[-1] + ((b - a) << (i - 1)))
         self._suffix_products: Dict[Tuple[int, ...], MPoly] = {}
 
     @property
@@ -99,19 +105,12 @@ class SeqFamily:
         return self._polys[i]
 
     def second(self, i: int) -> Dyadic:
-        """gamma_i for a P family, delta_i for a Q family; exact dyadic.
-
-        s_j = (s_{j-1} + b_j - a_j) / 2, from the values of both sides
-        of the identity at j.
-        """
-        while len(self._seconds) <= i:
-            a, b = self.shifts(len(self._seconds))
-            self._seconds.append((self._seconds[-1] + (b - a)) * Dyadic(1, 1))
-        return self._seconds[i]
-
-    def value(self, i: int) -> Tuple[Dyadic, Dyadic]:
-        """(eta_i, gamma_i or delta_i), the weight vector of the i-th member."""
-        return eta(i), self.second(i)
+        """gamma_i for a P family, delta_i for a Q family: _seconds[i]/2^i."""
+        if i < 0:
+            raise UsageError("family index must be nonnegative")
+        if i > self.max_index:
+            self.weight(self.max_index + 1)  # raises: the first member without a weight
+        return Dyadic(self._seconds[i], i)
 
     def name(self, i: int) -> str:
         """The root variable for i = 0, else P_i or Q_i."""
@@ -175,12 +174,13 @@ class ValuationDef:
         self.form = "Q3" if p is None else "P3" if q is None else "C5"
         self.group: GroupSpec = QUAD2 if self.form == "C5" else DYADIC2
         # each member value once, as integers over 2^k: (family, etas, seconds)
-        self._k = max(f.max_index for f in self.families())
-        self._lattice = []
-        for f in self.families():
-            values = [f.value(i) for i in range(f.max_index + 1)]
-            etas, seconds = ([d.num << (self._k - d.k) for d in col] for col in zip(*values))
-            self._lattice.append((f, etas, seconds))
+        self._k = k = max(f.max_index for f in self.families())
+        self._lattice = [
+            (f, [_eta_num(i) << (k - i) for i in range(f.max_index + 1)],
+             [s << (k - i) for i, s in enumerate(f._seconds)])
+            for f in self.families()
+        ]
+        self._values: Dict[Tuple[str, int], LexVec] = {}  # gen_value, once per member
 
     @staticmethod
     def p3(sigma) -> "ValuationDef":
@@ -209,9 +209,12 @@ class ValuationDef:
         return self.group.vec(0, 1)
 
     def gen_value(self, fam: SeqFamily, i: int) -> LexVec:
-        """The value of the i-th family member as a LexVec of this group."""
-        e, s = fam.value(i)
-        return self.group.vec(self.embed(fam, e), s)
+        """The value (eta_i, gamma_i or delta_i) of the i-th family member,
+        as a LexVec of this group."""
+        key = fam.kind, i
+        if key not in self._values:
+            self._values[key] = self.group.vec(self.embed(fam, eta(i)), fam.second(i))
+        return self._values[key]
 
     def generators(self, up_to: Optional[int] = None) -> List[Tuple[str, LexVec]]:
         """(name, value) of z, of each family root and of every family
@@ -330,8 +333,7 @@ def term_value(v: ValuationDef, t: ExpTerm) -> LexVec:
     """(0, ord_z a) plus the weight vectors of the term's factors, summed as
     integers over 2^v._k; the one LexVec built is the result."""
     p, q, s = _lattice_point(v, t)
-    first = QuadReal(Dyadic(p, v._k), Dyadic(q, v._k)) if v.group.quad else Dyadic(p, v._k)
-    return LexVec(first, Dyadic(s, v._k))
+    return _decode(v.group.quad, p, q, v._k, s, v._k)
 
 
 @dataclass
@@ -366,7 +368,7 @@ def check_key_identity(v: ValuationDef, i: int) -> bool:
     """Check nu(members) data: equality of the two recursion branches and
     strictness against the next member, for every family of the form.
 
-    The arithmetic check runs on cached (eta, gamma/delta) data for every
+    The arithmetic check runs on the family's integer table for every
     i.  Up to _SYMBOLIC_MAX_INDEX the left branch is also valued from the
     polynomial z^a_i * M_i^2 itself, through its canonical expansion.
     """
@@ -377,14 +379,13 @@ def check_key_identity(v: ValuationDef, i: int) -> bool:
 
 def _check_family_identity(v: ValuationDef, fam: SeqFamily, i: int) -> bool:
     a, b = fam.shifts(i)
-    two_eta = 2 * eta(i)
-    left_first = two_eta
-    right_first = (1 << (i + 1)) + eta(i - 1)
-    left_second = Dyadic(a) + 2 * fam.second(i)
-    right_second = Dyadic(b) + fam.second(i - 1)
-    ok = left_first == right_first and left_second == right_second
-    # strictness against the next member needs only eta data
-    ok = ok and two_eta < eta(i + 1)
+    e_prev, e, e_next = _eta_num(i - 1), _eta_num(i), _eta_num(i + 1)
+    s_prev, s = fam._seconds[i - 1], fam._seconds[i]
+    # over 2^i: 2*eta_i = 2^(i+1) + eta_{i-1} and a_i + 2*s_i = b_i + s_{i-1};
+    # then strictness against the next member, 2*eta_i < eta_{i+1}
+    ok = (2 * e == (1 << (2 * i + 1)) + 2 * e_prev
+          and (a << i) + 2 * s == (b << i) + 2 * s_prev
+          and 4 * e < e_next)
     if not ok or i > _SYMBOLIC_MAX_INDEX:
         return ok
 

@@ -305,7 +305,6 @@ def div_in_var(f: MPoly, g: MPoly, var: int) -> Tuple[MPoly, MPoly]:
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.i = 0

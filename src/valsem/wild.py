@@ -51,7 +51,7 @@ class WildParams:
         a = _as_dyadic(self.a)
         if a.sign() <= 0:
             raise UsageError("parameter a must be positive")
-        if self.c < 1:
+        if not isinstance(self.c, int) or self.c < 1:
             raise UsageError("parameter c must be a positive integer")
         a2 = a if self.a2 is None else _as_dyadic(self.a2)
         if a2.sign() <= 0:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from valsem.errors import CapExceeded, UsageError
-from valsem.exact import DYADIC2, QUAD2, Dyadic, QuadReal
+from valsem.exact import DYADIC2, QUAD2, Dyadic, QuadReal, _decode
 from valsem.genseq import ValuationDef, eta
 from valsem.gensemi import DEFAULT_STATE_CAP, Box, GenSemigroup, box_bound_check, box_semigroup
 from valsem.semigroups import theorem1_bound
@@ -113,7 +113,7 @@ def enumerate_box(sg, box, cap=DEFAULT_STATE_CAP):
             mask -= 1  # the zero element is not a member
         while mask:
             low = mask & -mask
-            out.append(sg._decode(p, q, fk, lo + low.bit_length() - 1, sk))
+            out.append(_decode(sg.spec.quad, p, q, fk, lo + low.bit_length() - 1, sk))
             mask ^= low
     return sorted(out)
 
@@ -399,6 +399,12 @@ class TestEnumerateBox:
         sg = GenSemigroup(DYADIC2, [DYADIC2.vec(1, 0)])
         assert enumerate_box(sg, Box(0, 3, DYADIC2.vec(0, 1), 1)) == []
         assert enumerate_box(sg, Box(3, 0, DYADIC2.vec(0, 1), 1)) == []
+        # a window is a nonnegative integer
+        for y1, y2, match in ((-1, 2, "nonnegative"), (2, -1, "nonnegative"),
+                              (1.5, 2, "integers"), (2, 2.5, "integers"),
+                              (Fraction(3, 2), 2, "integers")):
+            with pytest.raises(UsageError, match=match):
+                Box(y1, y2, DYADIC2.vec(0, 1), 1)
 
     def test_t1_must_be_level_one(self):
         with pytest.raises(UsageError):
@@ -529,6 +535,8 @@ class TestBoxBound:
     def test_empty_box(self):
         report = box_bound_check(sigma_25(), 1, 0)
         assert report.count == 0 and report.ok
+        with pytest.raises(UsageError, match="integers"):
+            box_bound_check(sigma_25(), 2, 2.5)
 
     def test_bound_is_theorem1(self):
         report = box_bound_check(sigma_25(), 5, 7)

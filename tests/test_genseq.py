@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valsem import genseq
 from valsem.errors import UsageError
 from valsem.exact import DYADIC2, QUAD2, Dyadic, LexVec, QuadReal
 from valsem.genseq import (
@@ -54,8 +55,11 @@ class TestWeights:
                 assert eta(i) == 2 * eta(i - 1) + Dyadic(1, i)
 
     def test_eta_negative_index(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="nonnegative"):
             eta(-1)
+        for i in (1.5, Fraction(3, 2), 2.0):
+            with pytest.raises(UsageError, match="not an integer"):
+                eta(i)
 
     def test_gamma_delta_examples(self):
         p = SeqFamily("P", SIGMA)
@@ -71,6 +75,10 @@ class TestWeights:
             oracle = second_oracle(kind, ws)
             for i in range(11):
                 assert fam.second(i).as_fraction() == oracle[i]
+            with pytest.raises(UsageError, match="weight at index 11 is not defined"):
+                fam.second(fam.max_index + 1)
+            with pytest.raises(UsageError, match="nonnegative"):
+                fam.second(-1)
 
     def test_weight_validation(self):
         with pytest.raises(UsageError):
@@ -78,6 +86,11 @@ class TestWeights:
         with pytest.raises(UsageError):
             SeqFamily("P", [-1])
         SeqFamily("P", [0])  # sigma 0 is legal
+        for weights in ([2.5, 5], [Fraction(5, 2), 5], [2, 5.0]):
+            with pytest.raises(UsageError, match="is not an integer"):
+                SeqFamily("P", weights)
+            with pytest.raises(UsageError, match="is not an integer"):
+                ValuationDef.p3(weights)
 
     def test_missing_weight_named_in_error(self):
         fam = SeqFamily("P", SIGMA)
@@ -279,8 +292,10 @@ class TestIntegerLattice:
         values = check_against_oracle(v, parse_poly(text))
         # two terms whose first coordinates differ by p + q*sqrt2 with
         # p and q of opposite signs, where the sign needs p^2 against 2q^2
-        diffs = [a.first - b.first for a in values for b in values]
-        assert any(d.rat.sign() * d.surd.sign() < 0 for d in diffs)
+        diffs = [(a.first.rat.as_fraction() - b.first.rat.as_fraction(),
+                  a.first.surd.as_fraction() - b.first.surd.as_fraction())
+                 for a in values for b in values]
+        assert any(p * q < 0 for p, q in diffs)
 
     def test_past_the_weights_rejected(self):
         v = ValuationDef.p3(SIGMA)
@@ -321,11 +336,31 @@ class TestKeyIdentities:
 
     def test_negative_control_override(self, monkeypatch):
         fam = SeqFamily("P", SIGMA_LONG)
-        second = fam.second
-        monkeypatch.setattr(fam, "second", lambda i: Dyadic(17) if i == 2 else second(i))
+        fam._seconds[2] = 17 << 2  # s_2 = 17 in the integer table
         v = ValuationDef(p=fam)
+
+        def no_valuate(*_):
+            raise AssertionError("a polynomial was valued")
+
         # fails on the arithmetic check, before any polynomial is valued
+        monkeypatch.setattr(genseq, "valuate", no_valuate)
         assert not check_key_identity(v, 2)
+
+    def test_tables_need_no_dyadic_arithmetic(self, monkeypatch):
+        # building the valuation and checking the arithmetic identities,
+        # i > 6 included, run on the integer tables alone
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counting(self, other, _op=getattr(Dyadic, name), _name=name):
+                calls.append(_name)
+                return _op(self, other)
+
+            monkeypatch.setattr(Dyadic, name, counting)
+        v = ValuationDef.combined([2, 5, 3, 7, 4, 9, 1, 6, 8], [1, 3, 5, 2, 6, 4, 8, 7, 9])
+        for i in range(1, 10):
+            assert check_key_identity(v, i)
+        assert calls == []
+        assert Dyadic(1, 1) * 2 + 1 == 2 and calls == ["__mul__", "__add__"]
 
     def test_index_validation(self):
         v = ValuationDef.p3(SIGMA)

@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,9 @@ class TestParams:
             WildParams(a=-1)
         with pytest.raises(UsageError):
             WildParams(c=0)
+        for c in (2.5, Fraction(5, 2), 2.0):
+            with pytest.raises(UsageError, match="positive integer"):
+                WildParams(c=c)
         with pytest.raises(UsageError):
             WildParams(a2=Dyadic(-1, 1))
         p = WildParams(a=Dyadic(3, 1))
